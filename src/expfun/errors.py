@@ -52,7 +52,8 @@ class DenominatorError(ExpfunError):
         if message is None:
             message = (
                 f"back-substitution denominator D[{index}] = {value:.3e} <= 0; "
-                "use a smaller grid ratio (delta closer to 0 with more cells)"
+                "refine the grid (delta closer to 1 with more cells): the "
+                "self-cell weight W_0 shrinks with the log step"
             )
         super().__init__(message)
 

@@ -213,6 +213,49 @@ _GL_LO = _leggauss(8)
 _GL_HI = _leggauss(16)
 
 
+def _rule_sums(f, los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unscaled nested Gauss-Legendre sums (8 and 16 points) of ``f`` over
+    every segment [los[k], his[k]], in two batched integrand calls.
+
+    Multiplying by the half-width 0.5 * (his - los) gives the two rule
+    estimates of each segment integral.
+    """
+    half = 0.5 * (his - los)
+    mid = 0.5 * (his + los)
+
+    def batch(rule):
+        nodes, weights = rule
+        pts = mid[:, None] + half[:, None] * nodes[None, :]
+        return f(pts.ravel()).reshape(los.size, nodes.size) @ weights
+
+    return batch(_GL_LO), batch(_GL_HI)
+
+
+def _accept_or_refine(f, los, his, lo_vals, hi_vals, rel_tol, abs_tol, p_first):
+    """Keep the 16-point estimate of each segment whose two rule estimates
+    agree within max(rel_tol * |hi|, abs_tol); integrate the others, and
+    the first segment when ``p_first`` is set, with the adaptive routine.
+    Returns (values, error estimates)."""
+    errs = np.abs(hi_vals - lo_vals)
+    vals = hi_vals.copy()
+    ok = errs <= np.maximum(rel_tol * np.abs(vals), abs_tol)
+    if p_first is not None:
+        ok[0] = False
+    for k in np.nonzero(~ok)[0]:
+        p = p_first if (k == 0 and p_first is not None) else None
+        vals[k], errs[k] = integrate(
+            QuadratureRequest(
+                f,
+                float(los[k]),
+                float(his[k]),
+                rel_tol,
+                max(abs_tol, 1e-300),
+                p,
+            )
+        )
+    return vals, errs
+
+
 def integrate_cells(
     f,
     edges: np.ndarray,
@@ -234,39 +277,13 @@ def integrate_cells(
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise DomainError("edges must be strictly increasing with >= 2 entries")
-    n_seg = edges.size - 1
     los = edges[:-1]
     his = edges[1:]
     half = 0.5 * (his - los)
-    mid = 0.5 * (his + los)
-
-    def batch(rule):
-        nodes, weights = rule
-        pts = mid[:, None] + half[:, None] * nodes[None, :]
-        vals = f(pts.ravel()).reshape(n_seg, nodes.size)
-        return half * (vals @ weights)
-
-    lo_vals = batch(_GL_LO)
-    hi_vals = batch(_GL_HI)
-    errs = np.abs(hi_vals - lo_vals)
-    vals = hi_vals.copy()
-
-    ok = errs <= np.maximum(rel_tol * np.abs(vals), abs_tol)
-    if p_first is not None:
-        ok[0] = False
-    for k in np.nonzero(~ok)[0]:
-        p = p_first if (k == 0 and p_first is not None) else None
-        vals[k], errs[k] = integrate(
-            QuadratureRequest(
-                f,
-                float(los[k]),
-                float(his[k]),
-                rel_tol,
-                max(abs_tol, 1e-300),
-                p,
-            )
-        )
-    return vals, errs
+    lo_sums, hi_sums = _rule_sums(f, los, his)
+    return _accept_or_refine(
+        f, los, his, half * lo_sums, half * hi_sums, rel_tol, abs_tol, p_first
+    )
 
 
 def extrapolate_limit(samples: Sequence[tuple[float, float]]) -> tuple[float, float]:

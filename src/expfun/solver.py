@@ -37,7 +37,7 @@ import numpy as np
 from .backend import back_substitute
 from .errors import DenominatorError, DomainError, NonPositive, TruncationError
 from .model import SubordinatorSpec, positive_moments
-from .numerics import integrate_cells
+from .numerics import _accept_or_refine, _rule_sums, integrate_cells
 from .parallel import worker_count
 from .tails import ZeroTail
 
@@ -394,33 +394,63 @@ def solve(
 
 def residual(spec: SubordinatorSpec, density: StepDensity, n_probes: int = 64) -> float:
     """Sup over probe points of |(1 - c x) k~(x) - RHS(x)| with the RHS
-    integrals recomputed by fresh quadrature in the y variable (not the
-    cached u-space weights).
+    integrals recomputed by fresh quadrature in the y variable.
 
     Probes sit at cell midpoints: at the grid nodes the back-substitution
     enforced the discrete equations exactly, so only off-node points see
     the discretisation error.  The top 1% of cells is excluded.
+
+    The kernel part of the RHS at probe k, x_p = sqrt(x_k x_{k+1}), is
+    the integral of Pibar(log(y/x_p)) over [x_p, x_{k+1}] times k~ on
+    cell k, plus one integral over each cell [x_j, x_{j+1}] above it.  A
+    Gauss-Legendre node of cell j sits at log(y/x_p) = (j-k-1/2) L + s_t,
+    with s_t fixed by the rule point alone, so the rule sums of cell j
+    depend only on the offset m = j - k and the cell's value is its
+    half-width times the offset sum S[m].  One table of S over m =
+    1..N-1, from the lowest probe, serves every probe.  Each probe still
+    runs its own acceptance test on every cell, integrates the cells that
+    fail it adaptively in y, and integrates its first, partial and
+    possibly singular cell on its own.
+
+    The check stays independent of the solve: it integrates Pibar(log(y/x))
+    in y over the grid cells, where the solve integrates Pibar(u) e**u in u
+    over log-step cells, and it never reads the cached weights W_m.
     """
     grid = density.grid
     n = grid.n_cells
+    nodes = grid.nodes
     top = max(1, int(math.floor(0.99 * n)))
     idx = np.unique(np.linspace(0, top - 1, min(n_probes, top)).astype(int))
     p = spec.tail.kernel_singularity()
+    zero_tail = isinstance(spec.tail, ZeroTail)
+    if not zero_tail:
+        # rule sums of cells 1..N-1 seen from probe 0 = offset sums S[1..N-1]
+        half = 0.5 * (nodes[2:] - nodes[1:-1])
+        x_ref = float(math.sqrt(nodes[0] * nodes[1]))
+        lo_sums, hi_sums = _rule_sums(
+            lambda y: spec.tail.tail_many(np.log(y / x_ref)), nodes[1:-1], nodes[2:]
+        )
     worst = 0.0
     for k in idx:
-        x_p = float(math.sqrt(grid.nodes[k] * grid.nodes[k + 1]))
+        x_p = float(math.sqrt(nodes[k] * nodes[k + 1]))
         lhs = (1.0 - spec.drift * x_p) * density.heights[k]
 
         def g(y):
             return spec.tail.tail_many(np.log(y / x_p))
 
-        if isinstance(spec.tail, ZeroTail):
+        if zero_tail:
             kernel_part = 0.0
         else:
-            edges = np.concatenate([[x_p], grid.nodes[k + 1 :]])
-            vals, _ = integrate_cells(g, edges, 1e-8, 1e-14, p_first=p)
+            first, _ = integrate_cells(g, [x_p, nodes[k + 1]], 1e-8, 1e-14, p_first=p)
+            # cells k+1..N-1 sit at offsets 1..N-1-k
+            h = half[k:]
+            rest, _ = _accept_or_refine(
+                g, nodes[k + 1 : -1], nodes[k + 2 :],
+                h * lo_sums[: h.size], h * hi_sums[: h.size], 1e-8, 1e-14, None,
+            )
+            vals = np.concatenate([first, rest])
             kernel_part = float(np.dot(vals, density.heights[k:]))
-        partial = density.heights[k] * (grid.nodes[k + 1] - x_p)
+        partial = density.heights[k] * (nodes[k + 1] - x_p)
         rhs = kernel_part + spec.kill * (partial + float(density._suffix_mass[k + 1]))
         worst = max(worst, abs(lhs - rhs))
     return worst

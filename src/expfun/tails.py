@@ -463,7 +463,13 @@ class StretchedExpTail(LevyTail):
         return super().inverse_tail(w)
 
     def probe_x(self):
-        return max(10.0, 40.0 * self.b)
+        # class_index reads Pibar up to z = 2 x_p + 2 (window end plus the
+        # largest default offset).  With X = z**n and s = (1-b)/n in (-1, 1),
+        # Pibar = Gamma(s, X)/n >= X**(s-1) e**(-X) / (2n) for X >= 2, which
+        # for X <= 680 is at least exp(-680 - 2 log 680 - log 6) ~ 2e-302: a
+        # normal double (the smallest is 2.2e-308), so no ratio is 0/0.  The
+        # cap binds for n = 3 (x_p ~ 3.4) and for n = 2 only when b > 0.3.
+        return min(max(10.0, 40.0 * self.b), 0.5 * (680.0 ** (1.0 / self.n) - 2.0))
 
     def to_dict(self):
         return {"variant": "stretched_exp", "b": self.b, "n": self.n}

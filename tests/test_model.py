@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,16 @@ def test_class_index_values():
     assert alpha == math.inf
     alpha, _ = class_index(LampertiKilledTail(0.5, 1.0))
     assert alpha == 2.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_class_index_finite_for_stretched_exp(n):
+    # Pibar must stay a normal double over the whole probe window plus offsets
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, diag = class_index(StretchedExpTail(0.25, n))
+    ratios = np.array(diag["window_ratios"])
+    assert np.all(np.isfinite(ratios)) and np.all(ratios > 0)
 
 
 def test_class_index_ratio_band():

@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from expfun import numerics
 from expfun.errors import DenominatorError, DomainError, TruncationError
 from expfun.model import SubordinatorSpec, positive_moments
+from expfun.numerics import integrate_cells
 from expfun.solver import GeometricGrid, build_grid, kernel_weights, residual, solve
 from expfun.tails import (
     CompoundPoissonExpTail,
     GammaExpTail,
+    LampertiKilledTail,
     StableTail,
+    TabulatedTail,
     ZeroTail,
 )
 
@@ -202,7 +206,7 @@ def test_rejects_deterministic_model():
 def test_denominator_error_with_advice():
     spec = SubordinatorSpec(1.0, 0.0, CompoundPoissonExpTail(40.0, 1.0))
     grid = build_grid(spec, 0.99, 200)
-    with pytest.raises(DenominatorError, match="smaller"):
+    with pytest.raises(DenominatorError, match=r"delta closer to 1 with more cells"):
         solve(spec, grid)
 
 
@@ -269,6 +273,76 @@ def test_residual_decreases_under_refinement():
     r1 = residual(GAMMA, coarse, n_probes=32)
     r2 = residual(GAMMA, fine, n_probes=32)
     assert r1 / r2 >= 1.5
+
+
+def reference_residual(spec, density, n_probes=64):
+    """The residual by one full integrate_cells call per probe, over the
+    probe's partial cell and every cell above it."""
+    grid = density.grid
+    n = grid.n_cells
+    top = max(1, int(math.floor(0.99 * n)))
+    idx = np.unique(np.linspace(0, top - 1, min(n_probes, top)).astype(int))
+    p = spec.tail.kernel_singularity()
+    worst = 0.0
+    for k in idx:
+        x_p = float(math.sqrt(grid.nodes[k] * grid.nodes[k + 1]))
+        lhs = (1.0 - spec.drift * x_p) * density.heights[k]
+
+        def g(y):
+            return spec.tail.tail_many(np.log(y / x_p))
+
+        if isinstance(spec.tail, ZeroTail):
+            kernel_part = 0.0
+        else:
+            edges = np.concatenate([[x_p], grid.nodes[k + 1 :]])
+            vals, _ = integrate_cells(g, edges, 1e-8, 1e-14, p_first=p)
+            kernel_part = float(np.dot(vals, density.heights[k:]))
+        partial = density.heights[k] * (grid.nodes[k + 1] - x_p)
+        rhs = kernel_part + spec.kill * (partial + float(density._suffix_mass[k + 1]))
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+# log-linear interpolation between knots: the slope of log Pibar jumps at
+# each knot, so the nested rule disagrees on the cells that straddle one
+KINKED = TabulatedTail(
+    ((0.25, 4.0), (0.5, 1.5), (1.0, 1.0), (1.5, 0.2), (3.0, 0.05), (5.0, 1e-3))
+)
+
+
+@pytest.mark.parametrize(
+    "spec, delta",
+    [
+        (GAMMA, 0.99),  # no kernel singularity
+        (SubordinatorSpec(1.0, 0.0, StableTail(0.25)), 0.998),  # p < 0, c > 0
+        (SubordinatorSpec(1.0, 0.5, StableTail(0.25)), 0.998),  # c > 0 and q > 0
+        (SubordinatorSpec(0.0, 1.0 / math.gamma(0.5), LampertiKilledTail(0.5, 1.0)), 0.995),
+        (UNIFORM, 0.99),
+        (SubordinatorSpec(0.0, 0.0, KINKED), 0.99),
+        (SubordinatorSpec(0.5, 0.5, KINKED), 0.995),
+    ],
+    ids=["gamma", "stable_drift", "stable_drift_kill", "lamperti_killed", "zero_tail",
+         "kinked", "kinked_drift_kill"],
+)
+def test_residual_matches_per_probe_reference(spec, delta):
+    d = solve(spec, build_grid(spec, delta, 800))
+    assert residual(spec, d) == pytest.approx(reference_residual(spec, d), rel=1e-10, abs=0.0)
+
+
+def test_residual_falls_back_on_kinked_cells(monkeypatch):
+    spec = SubordinatorSpec(0.0, 0.0, KINKED)
+    d = solve(spec, build_grid(spec, 0.99, 800))
+    los = []
+    original = numerics.integrate
+
+    def counting(req):
+        los.append(req.lo)
+        return original(req)
+
+    monkeypatch.setattr(numerics, "integrate", counting)
+    residual(spec, d)
+    # a probe's own first cell starts at its midpoint x_p, not at a node
+    assert np.isin(los, d.grid.nodes).sum() > 0
 
 
 def test_l1_refinement_consistency():
