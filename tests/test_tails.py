@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import hyp2f1
 
-from expfun.errors import DomainError, SpecFileError
+from expfun.errors import DomainError, NoConvergence, SpecFileError
 from expfun.numerics import quad
 from expfun.tails import (
+    _INVERSE_BLOCK,
     CompoundPoissonExpTail,
     GammaExpTail,
     LampertiKilledTail,
+    LevyTail,
     StableTail,
     StretchedExpTail,
     TabulatedTail,
@@ -19,6 +21,22 @@ from expfun.tails import (
     ZeroTail,
     tail_from_dict,
 )
+
+TABULATED = TabulatedTail(
+    tuple((z, 2.0 * math.exp(-0.7 * z - 0.1 * z * z)) for z in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0))
+)
+
+
+def tail_id(t):
+    if not isinstance(t, LevyTail):
+        return None  # pytest's default id for the other parameters
+    d = t.to_dict()
+    if d["variant"] == "tilted":
+        return "tilted-" + tail_id(t.base)
+    if d["variant"] == "tabulated":
+        return "tabulated"
+    return "-".join([d["variant"]] + [f"{v:g}" for k, v in d.items() if k != "variant"])
+
 
 ALL_TAILS = [
     StableTail(0.25),
@@ -149,18 +167,128 @@ def test_small_jump_mean_matches_quadrature():
 def test_samplers_invert_the_tail():
     u = np.linspace(0.02, 0.98, 25)
     cases = [
-        (StableTail(0.25), 0.01),
-        (CompoundPoissonExpTail(2.0, 0.5), 0.0),
-        (LampertiKilledTail(0.5, 1.0), 1e-3),
-        (StretchedExpTail(0.25, 1), 0.0),
-        (GammaExpTail(0.5, 1.0, 1.0), 1e-3),
+        (StableTail(0.25), 0.01, 1e-12),
+        (CompoundPoissonExpTail(2.0, 0.5), 0.0, 1e-12),
+        (LampertiKilledTail(0.5, 1.0), 1e-3, 1e-12),
+        (StretchedExpTail(0.25, 1), 0.0, 1e-12),
+        (GammaExpTail(0.5, 1.0, 1.0), 1e-3, 1e-12),
+        (TABULATED, 0.0, 1e-12),
+        # the generic safeguarded-Newton inverse
+        (StretchedExpTail(1.5, 2), 1e-3, 1e-12),
+        (TiltedTail(GammaExpTail(0.5, 1.0, 1.0), 0.7, 0.3), 1e-3, 1e-12),
+        (TiltedTail(CompoundPoissonExpTail(2.0, 0.5), 0.5, 0.2), 0.0, 1e-12),
+        # Pibar is a 1e-9 quadrature here, and its value moves by ~1e-11
+        # with the batch it is evaluated in (the check's batch is not the
+        # sampler's), so the check can only hold it to the quadrature
+        (LampertiKilledTail(0.5, 1.5), 1e-3, 1e-9),
     ]
-    for t, eps in cases:
+    for t, eps, tol in cases:
         base = t.tail_one(eps) if eps > 0 else t.total_mass()
         x = t.sample_restricted(eps, u)
         assert np.all(x >= eps * (1 - 1e-9))
         back = t.tail_many(x) / base
-        assert np.max(np.abs(back - u)) < 1e-6
+        assert np.max(np.abs(back - u)) < tol
+
+
+def reference_inverse_tail(tail, w):
+    """Generic inverse by monotone bisection: the bracket [1e-12, hi] with hi
+    doubled from 1, then 80 halvings; the reference for the Newton inverse."""
+    w = np.asarray(w, dtype=float)
+    lo = np.full(w.shape, 1e-12)
+    hi = np.ones_like(w)
+    for _ in range(80):
+        too_high = tail.tail_many(hi) > w
+        if not np.any(too_high):
+            break
+        hi = np.where(too_high, hi * 2.0, hi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        above = tail.tail_many(mid) > w
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+# tails that take the generic inverse, with the relative tolerance against
+# the bisection: 1e-13 where Pibar has a closed form, 1e-9 where it is a
+# 1e-9 quadrature.  Roots lie in [0.05, 5], where the computed log Pibar
+# has a slope of at least 0.025 in log z and is smooth to a few ulps, so
+# the root itself is fixed to about 1e-14.
+GENERIC_INVERSE_CASES = [
+    (GammaExpTail(0.5, 1.0, 1.0), 1e-13),
+    (GammaExpTail(0.3, 2.0, 1.5), 1e-13),
+    (StretchedExpTail(1.5, 2), 1e-13),
+    (StretchedExpTail(1.0, 3), 1e-13),
+    (TiltedTail(GammaExpTail(0.5, 1.0, 1.0), 0.7, 0.3), 1e-13),
+    (TiltedTail(CompoundPoissonExpTail(2.0, 0.5), 0.5, 0.2), 1e-13),
+    (TiltedTail(StableTail(0.5), 1.0, 0.5), 1e-13),
+    (TiltedTail(TABULATED, 0.4, 0.0), 1e-13),
+    (LampertiKilledTail(0.5, 1.5), 1e-9),
+    (LampertiKilledTail(0.3, 0.7), 1e-9),
+]
+
+
+@pytest.mark.parametrize("n", [1, _INVERSE_BLOCK - 1, _INVERSE_BLOCK + 1])
+@pytest.mark.parametrize("t, rtol", GENERIC_INVERSE_CASES, ids=tail_id)
+def test_newton_inverse_matches_bisection(t, rtol, n):
+    z = np.geomspace(0.05, 5.0, n) if n > 1 else np.array([0.7])
+    w = t.tail_many(z)
+    got = t.inverse_tail(w)
+    assert got.shape == w.shape
+    ref = reference_inverse_tail(t, w)
+    assert np.max(np.abs(got / ref - 1.0)) < rtol
+
+
+def test_newton_inverse_keeps_2d_shape():
+    t = GammaExpTail(0.5, 1.0, 1.0)
+    u = np.linspace(0.03, 0.97, 21).reshape(3, 7)
+    x = t.sample_restricted(1e-3, u)
+    assert x.shape == (3, 7)
+    assert np.array_equal(x.ravel(), t.sample_restricted(1e-3, u.ravel()))
+
+
+def test_newton_inverse_clamps_below_the_bracket():
+    # Pibar(z) = z**-0.5/0.5 = w has the root 4e-18, below the 1e-12 floor
+    got = LevyTail.inverse_tail(StableTail(0.5), np.array([1e9]))
+    assert got[0] == pytest.approx(1e-12, rel=1e-12)
+
+
+def test_inverse_tail_raises_when_no_bracket():
+    # Pibar >= 0.5 e**(-1e-30 z) stays above w = 0.1 up to z = 2**80
+    t = TiltedTail(StableTail(0.5), 1e-30, 0.5)
+    with pytest.raises(NoConvergence, match=r"tilted inverse_tail.*w = 0\.1\b"):
+        t.inverse_tail([0.1])
+
+
+DENSITY_CASES = ALL_TAILS + [
+    ZeroTail(),
+    LampertiKilledTail(0.3, 0.7),
+    StretchedExpTail(1.5, 2),
+    StretchedExpTail(1.0, 3),
+    TiltedTail(GammaExpTail(0.5, 1.0, 1.0), 0.7, 0.3),
+    TiltedTail(TABULATED, 0.4, 0.2),
+]
+
+
+@pytest.mark.parametrize("t", DENSITY_CASES, ids=tail_id)
+def test_density_is_minus_tail_derivative(t):
+    # off the knots of the tabulated tails, where the density jumps
+    z = np.array([0.03, 0.3, 0.77, 1.3, 2.9, 6.1])
+    h = 1e-6 * z
+    # one batch, so the quadrature tail differences each segment directly
+    both = t.tail_many(np.concatenate([z - h, z + h]))
+    diff = (both[: z.size] - both[z.size :]) / (2.0 * h)
+    dens = t.density_many(z)
+    assert dens.shape == z.shape
+    assert np.all(dens >= 0)
+    assert np.allclose(dens, diff, rtol=1e-6, atol=1e-300)
+
+
+@pytest.mark.parametrize("t", [CompoundPoissonExpTail(2.0, 0.5), GammaExpTail(0.5, 1.0, 1.0)], ids=tail_id)
+def test_density_integrates_to_tail(t):
+    for z in (0.01, 0.4, 3.0):
+        val = quad(t.density_many, z, np.inf, rel_tol=1e-12)
+        assert val == pytest.approx(t.tail_one(z), rel=1e-10)
 
 
 def test_zero_tail_has_no_jumps():
