@@ -1,8 +1,7 @@
-"""Pure numpy implementation of the back-substitution kernel.
+"""The numpy back-substitution sweep of the discrete integral equation.
 
-Used when the compiled extension is unavailable (or forced via
-EXPFUN_PURE_PYTHON=1).  The outer loop is sequential by nature; each
-step reduces to one dot product against the weight vector.
+The outer loop is sequential by nature; each step reduces to one dot
+product against the weight vector, O(N^2) multiply-adds in all.
 """
 
 import numpy as np

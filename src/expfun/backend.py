@@ -1,22 +1,6 @@
-"""Selects the back-substitution implementation at import time.
+"""The back-substitution sweep that ``solver`` imports."""
 
-The compiled extension is preferred when it was built; the numpy
-fallback is always available.  Set EXPFUN_PURE_PYTHON=1 to force the
-fallback (the benchmark uses this to compare the two).
-"""
+from ._kernels_py import back_substitute
 
-import os
-
-from . import _kernels_py
-
-if os.environ.get("EXPFUN_PURE_PYTHON", "") not in ("", "0"):
-    back_substitute = _kernels_py.back_substitute
-    BACKEND = "python"
-else:
-    try:
-        from ._kernels import back_substitute
-
-        BACKEND = "compiled"
-    except ImportError:
-        back_substitute = _kernels_py.back_substitute
-        BACKEND = "python"
+# read by the benchmark's machine record (perfbench/run.py::machine_info)
+BACKEND = "python"

@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 
-from .backend import BACKEND
 from .errors import ExpfunError, InsufficientGrid, SpecFileError
 from .mc import ks_distance, simulate
 from .model import (
@@ -159,7 +158,6 @@ def _density_outputs(cfg: RunConfig, spec, grid, density, res, prefix="density")
         f"left-gap mass bound: {density.left_gap_mass_bound:.12g}",
         f"top zero cells: {density.top_zero_cells}",
         f"equation residual ({cfg.probes} probes): {res:.6g}",
-        f"backend: {BACKEND}",
     ]
     _write_summary(cfg.out_dir / "summary.txt", lines)
     if cfg.plot:

@@ -1,9 +1,12 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
-from expfun import numerics
+from expfun import numerics, parallel
+from expfun.backend import back_substitute
 from expfun.errors import DenominatorError, DomainError, TruncationError
 from expfun.model import SubordinatorSpec, positive_moments
 from expfun.numerics import integrate_cells
@@ -91,15 +94,23 @@ def test_weights_compound_poisson_closed_form():
 def test_weights_deterministic_across_worker_counts(monkeypatch):
     spec = SubordinatorSpec(0.0, 0.0, GammaExpTail(1.0, 1.5, 2.0))
     grid = GeometricGrid(10.0, 0.997, 1024)
+    monkeypatch.setenv("EXPFUN_THREADS", "1")
     one = kernel_weights(spec, grid).values
     monkeypatch.setenv("EXPFUN_THREADS", "3")
     three = kernel_weights(spec, grid).values
     # same refinement decisions; values agree to rounding (batched dots can
     # differ by an ulp across batch shapes)
     assert np.allclose(one, three, rtol=1e-14, atol=0.0)
-    monkeypatch.setenv("EXPFUN_THREADS", "3")
     again = kernel_weights(spec, grid).values
     assert np.array_equal(three, again)
+
+
+def test_default_pool_follows_the_affinity_set(monkeypatch):
+    monkeypatch.delenv("EXPFUN_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert parallel.worker_count() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert parallel.worker_count() == 4
 
 
 def test_truncation_cap():
@@ -140,11 +151,35 @@ def test_uniform_solution_is_flat(uniform_density):
     assert d.covered_mass + d.left_gap_mass_bound == pytest.approx(1.0, abs=1e-12)
 
 
-def test_homogeneity_in_the_provisional_height():
-    grid = build_grid(UNIFORM, 0.999, 1000)
-    a = solve(UNIFORM, grid, provisional=1.0)
-    b = solve(UNIFORM, grid, provisional=7.0)
-    assert np.allclose(a.heights, b.heights, rtol=1e-12, atol=0.0)
+def dense_sweep_reference(nodes, widths, weights, denoms, q, start):
+    """Rows 0..start-1 of the discrete system as a dense upper-triangular
+    solve, with the provisional y[start] = 1 moved to the right-hand side."""
+    n = np.arange(start)
+    m = np.arange(start + 1)
+    offset = np.clip(m[None, :] - n[:, None], 0, None)
+    coupling = nodes[:start, None] * weights[offset] + q * widths[None, : start + 1]
+    a = np.triu(-coupling[:, :start], k=1)
+    a[n, n] = denoms[:start]
+    y = np.zeros(widths.shape[0])
+    y[:start] = solve_triangular(a, coupling[:, start], lower=False)
+    y[start] = 1.0
+    return y
+
+
+@pytest.mark.parametrize("layer", [0, 7])
+def test_sweep_matches_dense_solve(layer):
+    spec = SubordinatorSpec(0.0, 0.5, GammaExpTail(1.0, 1.5, 2.0))
+    # x_max kept small so that every diagonal is positive on this coarse grid
+    grid = GeometricGrid(2.0, 0.95, 60)
+    weights = kernel_weights(spec, grid).values
+    nodes, widths = grid.nodes, grid.widths
+    denoms = 1.0 - nodes[:-1] * weights[0] - spec.kill * widths
+    assert np.all(denoms > 0)
+    start = grid.n_cells - 1 - layer
+    y = back_substitute(nodes, widths, weights, denoms, spec.kill, start)
+    assert np.all(y[start + 1 :] == 0.0)
+    ref = dense_sweep_reference(nodes, widths, weights, denoms, spec.kill, start)
+    assert np.allclose(y, ref, rtol=1e-12, atol=0.0)
 
 
 def test_killed_drift_q2():
