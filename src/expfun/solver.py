@@ -276,13 +276,15 @@ def kernel_weights(spec: SubordinatorSpec, grid: GeometricGrid) -> KernelWeights
         return spec.tail.tail_many(u) * np.exp(u)
 
     workers = worker_count()
-    # Below 512 cells the pool does not pay.  Measured on a 2-core Xeon,
+    # Below 1024 cells the pool does not pay.  Measured on a 2-core Xeon,
     # median of 9 alternating calls at the default grid's log-span, 1 vs 2
-    # threads: lamperti_killed, the costliest tail, breaks even at N = 512
-    # (12.9 vs 12.2 ms; 7.6 vs 11.0 ms at 256, 25.5 vs 19.2 ms at 1024).
-    # Cheap tails (powered_gamma_a1, stable_with_drift) lose about 1 ms to
-    # the pool's start-up at every N measured, up to 2048.
-    if workers <= 1 or n < 512:
+    # threads: stretched_exp_n1/n2, the costliest tails (a gammaincc per
+    # point), break even at about N = 1024 (11.7 vs 10.6 ms and 10.0 vs
+    # 10.8 ms in two runs; 5.6 vs 5.9 ms at 512, 48.7 vs 36.6 ms at 4500).
+    # lamperti_killed breaks even near N = 1536, and the cheap tails
+    # (powered_gamma_a1/a_half, stable_with_drift) lose 0.5-1 ms to the
+    # pool's start-up at every N up to 2048.
+    if workers <= 1 or n < 1024:
         vals, errs = integrate_cells(f, edges, 1e-9, 1e-15, p_first=p)
         return KernelWeights(vals, errs)
 

@@ -27,11 +27,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import digamma, exp1, gamma as gamma_fn, gammainccinv, gammaln
+from scipy.special import beta as beta_fn
+from scipy.special import betainc, digamma, exp1, gamma as gamma_fn, gammainccinv, gammaln
 from scipy.special import gammaincc
 
 from .errors import DomainError, NoConvergence, SpecFileError
-from .numerics import QuadratureRequest, integrate, integrate_cells
+from .numerics import QuadratureRequest, integrate
 
 _QUAD_REL = 1e-9
 _QUAD_ABS = 1e-12
@@ -425,11 +426,13 @@ class LampertiKilledTail(LevyTail):
 
     Pibar(z) = (1/Gamma(1-a)) * integral over (z, inf) of
     exp((1+a-beta)x/a) (exp(x/a)-1)**(-(1+a)) dx.  Substituting
-    v = exp(-x/a) turns it into (a/Gamma(1-a)) * integral over
-    (0, exp(-z/a)) of v**(beta-1) (1-v)**(-(1+a)) dv, which is what the
-    quadrature evaluates.  Batch evaluation accumulates the elementary
-    jump density between sorted abscissae instead of re-integrating to
-    infinity for every point.
+    v = exp(-x/a) turns it into (a/Gamma(1-a)) B(x; beta, -a), the
+    incomplete beta integral of v**(beta-1) (1-v)**(-1-a) over (0, x) with
+    x = exp(-z/a).  Integrating d/dv [v**beta (1-v)**(-a)] =
+    (beta-a) v**(beta-1) (1-v)**(-a) + a v**(beta-1) (1-v)**(-1-a) over
+    (0, x) gives B(x; beta, -a) = x**beta (1-x)**(-a)/a
+    - (beta/a - 1) B(beta, 1-a) betainc(beta, 1-a, x) (DLMF 8.17), for
+    every 0 < a < 1 and beta > a.
     """
 
     a: float
@@ -448,35 +451,13 @@ class LampertiKilledTail(LevyTail):
         log_val = -self.beta * t - (1.0 + self.a) * np.log1p(-np.exp(-t))
         return np.exp(log_val - gammaln(1.0 - self.a))
 
-    def tail_one(self, z):
-        if z <= 0:
-            raise DomainError("tail function is defined for z > 0")
-        w = math.exp(-z / self.a)
-        p = self.beta - 1.0 if self.beta < 1.0 else None
-
-        def f(v):
-            return v ** (self.beta - 1.0) * (1.0 - v) ** (-(1.0 + self.a))
-
-        val, _ = integrate(QuadratureRequest(f, 0.0, w, _QUAD_REL, 1e-15, p))
-        return self.a / math.gamma(1.0 - self.a) * val
-
     def tail_many(self, z):
-        z = np.asarray(z, dtype=float)
-        if z.size == 0:
-            return np.zeros(0)
-        if z.size == 1:
-            return np.array([self.tail_one(float(z[0]))])
-        uniq, inverse = np.unique(z, return_inverse=True)
-        if uniq.size == 1:
-            return np.full(z.shape, self.tail_one(float(uniq[0])))
-        # Pibar(uniq[k]) = Pibar(uniq[-1]) + sum of density integrals over
-        # the segments above uniq[k]; one scalar quadrature plus a batched
-        # pass over the segments instead of one improper integral per point.
-        top = self.tail_one(float(uniq[-1]))
-        seg, _ = integrate_cells(self.density_many, uniq, _QUAD_REL, 1e-16)
-        suffix = np.cumsum(seg[::-1])[::-1]
-        tails_sorted = np.concatenate([suffix + top, [top]])
-        return tails_sorted[inverse].reshape(z.shape)
+        # x = exp(-t) with t = z/a, and 1 - x = -expm1(-t) keeps its digits
+        t = np.asarray(z, dtype=float) / self.a
+        a, b = self.a, self.beta
+        head = np.exp(-b * t) * (-np.expm1(-t)) ** -a / a
+        lower = beta_fn(b, 1.0 - a) * betainc(b, 1.0 - a, np.exp(-t))
+        return a / math.gamma(1.0 - a) * (head - (b / a - 1.0) * lower)
 
     def total_mass(self):
         return math.inf

@@ -19,6 +19,7 @@ from expfun.tails import (
     TabulatedTail,
     ZeroTail,
 )
+from expfun.validation import moment_agreement_check
 
 UNIFORM = SubordinatorSpec(1.0, 1.0, ZeroTail())
 GAMMA = SubordinatorSpec(0.0, 0.0, GammaExpTail(1.0, 1.5, 2.0))
@@ -92,17 +93,19 @@ def test_weights_compound_poisson_closed_form():
 
 
 def test_weights_deterministic_across_worker_counts(monkeypatch):
-    spec = SubordinatorSpec(0.0, 0.0, GammaExpTail(1.0, 1.5, 2.0))
-    grid = GeometricGrid(10.0, 0.997, 1024)
-    monkeypatch.setenv("EXPFUN_THREADS", "1")
-    one = kernel_weights(spec, grid).values
-    monkeypatch.setenv("EXPFUN_THREADS", "3")
-    three = kernel_weights(spec, grid).values
-    # same refinement decisions; values agree to rounding (batched dots can
-    # differ by an ulp across batch shapes)
-    assert np.allclose(one, three, rtol=1e-14, atol=0.0)
-    again = kernel_weights(spec, grid).values
-    assert np.array_equal(three, again)
+    # N above the 1024-cell serial cut-off, so that 3 workers run the pool
+    grid = GeometricGrid(10.0, 0.9985, 2048)
+    for tail in (GammaExpTail(1.0, 1.5, 2.0), LampertiKilledTail(0.5, 1.5)):
+        spec = SubordinatorSpec(0.0, 0.0, tail)
+        monkeypatch.setenv("EXPFUN_THREADS", "1")
+        one = kernel_weights(spec, grid).values
+        monkeypatch.setenv("EXPFUN_THREADS", "3")
+        three = kernel_weights(spec, grid).values
+        # same refinement decisions; values agree to rounding (batched dots
+        # can differ by an ulp across batch shapes)
+        assert np.allclose(one, three, rtol=1e-14, atol=0.0)
+        again = kernel_weights(spec, grid).values
+        assert np.array_equal(three, again)
 
 
 def test_default_pool_follows_the_affinity_set(monkeypatch):
@@ -229,6 +232,20 @@ def test_stable_drift_boundary_layer():
     assert np.all(d.heights >= 0)
     ms = positive_moments(spec, 2)
     assert d.moment_of(1.0) == pytest.approx(ms.value(1), rel=0.02)
+
+
+def test_lamperti_killed_beta_below_one_solves():
+    # beta < 1 puts a v**(beta-1) singularity into the defining integral of
+    # Pibar; the default grid must still solve, with moments inside the
+    # CLI's first-order allowance
+    a, beta = 0.3, 0.5
+    spec = SubordinatorSpec(
+        0.0, math.gamma(beta) / math.gamma(beta - a), LampertiKilledTail(a, beta)
+    )
+    grid = build_grid(spec, 0.998, 4500)
+    d = solve(spec, grid)
+    rep = moment_agreement_check(spec, d, threshold=max(5e-3, 10.0 * grid.log_step))
+    assert rep.passed, rep.statistic
 
 
 def test_rejects_deterministic_model():

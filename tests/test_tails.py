@@ -73,30 +73,60 @@ def test_lamperti_killed_closed_form_beta_one():
     lk = LampertiKilledTail(0.5, 1.0)
     for z in (1e-3, 0.05, 0.4, 1.0, 3.0):
         closed = ((1.0 - math.exp(-2.0 * z)) ** -0.5 - 1.0) / math.sqrt(math.pi)
-        assert lk.tail_one(z) == pytest.approx(closed, rel=1e-9)
+        assert lk.tail_one(z) == pytest.approx(closed, rel=1e-13)
 
 
 def test_lamperti_killed_general_beta_vs_hypergeometric():
-    a, beta = 0.3, 1.4
-    lk = LampertiKilledTail(a, beta)
-    for z in (0.05, 0.3, 1.0, 2.5):
-        w = math.exp(-z / a)
-        oracle = (
-            a
-            / math.gamma(1.0 - a)
-            * w**beta
-            / beta
-            * float(hyp2f1(1.0 + a, beta, beta + 1.0, w))
-        )
-        assert lk.tail_one(z) == pytest.approx(oracle, rel=1e-8)
+    # beta < 1, a near beta, and beta/a = 160, where the two terms of the
+    # incomplete-beta formula cancel to about a/beta of their size
+    for a, beta in [(0.3, 1.4), (0.5, 0.7), (0.3, 0.5), (0.9, 0.95), (0.05, 8.0)]:
+        lk = LampertiKilledTail(a, beta)
+        for z in (0.05, 0.3, 1.0, 2.5):
+            w = math.exp(-z / a)
+            oracle = (
+                a
+                / math.gamma(1.0 - a)
+                * w**beta
+                / beta
+                * float(hyp2f1(1.0 + a, beta, beta + 1.0, w))
+            )
+            assert lk.tail_one(z) == pytest.approx(oracle, rel=1e-12)
 
 
-def test_lamperti_batch_matches_scalar():
-    lk = LampertiKilledTail(0.5, 1.0)
-    zs = np.geomspace(1e-4, 9.0, 37)
-    batch = lk.tail_many(zs)
-    scalar = np.array([lk.tail_one(float(z)) for z in zs])
-    assert np.max(np.abs(batch / scalar - 1.0)) < 1e-8
+@st.composite
+def lamperti_params(draw):
+    a = draw(st.floats(min_value=0.05, max_value=0.95))
+    beta = draw(st.floats(min_value=a, max_value=20.0, exclude_min=True))
+    return a, beta
+
+
+# the smallest normal double; below it the formula's difference of two
+# subnormal terms has too few digits to be monotone
+_TINY = np.finfo(float).tiny
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    params=lamperti_params(),
+    zs=st.lists(st.floats(min_value=1e-6, max_value=50.0), min_size=2, max_size=24),
+)
+def test_lamperti_tail_property(params, zs):
+    lk = LampertiKilledTail(*params)
+    z = np.sort(zs)
+    vals = lk.tail_many(z)
+    assert np.all(np.isfinite(vals)) and np.all(vals >= 0)
+    assert np.array_equal(vals, [lk.tail_one(float(v)) for v in z])
+    normal = vals[1:] >= _TINY
+    assert np.all(vals[1:][normal] <= vals[:-1][normal])
+
+
+@pytest.mark.parametrize("t", ALL_TAILS + [LampertiKilledTail(0.5, 1.5)], ids=tail_id)
+def test_tail_is_a_pure_function_of_z(t):
+    # unsorted, with a repeat, spanning the singular end and the far tail
+    z = np.concatenate([np.geomspace(1e-4, 9.0, 37), [0.5, 1e-3, 0.5, 30.0, 2e-4]])
+    batch = t.tail_many(z)
+    assert np.array_equal(batch, [t.tail_many(z[i : i + 1])[0] for i in range(z.size)])
+    assert np.array_equal(batch, [t.tail_one(float(v)) for v in z])
 
 
 def test_stretched_exp_against_quadrature():
@@ -177,10 +207,7 @@ def test_samplers_invert_the_tail():
         (StretchedExpTail(1.5, 2), 1e-3, 1e-12),
         (TiltedTail(GammaExpTail(0.5, 1.0, 1.0), 0.7, 0.3), 1e-3, 1e-12),
         (TiltedTail(CompoundPoissonExpTail(2.0, 0.5), 0.5, 0.2), 0.0, 1e-12),
-        # Pibar is a 1e-9 quadrature here, and its value moves by ~1e-11
-        # with the batch it is evaluated in (the check's batch is not the
-        # sampler's), so the check can only hold it to the quadrature
-        (LampertiKilledTail(0.5, 1.5), 1e-3, 1e-9),
+        (LampertiKilledTail(0.5, 1.5), 1e-3, 1e-12),
     ]
     for t, eps, tol in cases:
         base = t.tail_one(eps) if eps > 0 else t.total_mass()
@@ -210,8 +237,8 @@ def reference_inverse_tail(tail, w):
 
 
 # tails that take the generic inverse, with the relative tolerance against
-# the bisection: 1e-13 where Pibar has a closed form, 1e-9 where it is a
-# 1e-9 quadrature.  Roots lie in [0.05, 5], where the computed log Pibar
+# the bisection; every Pibar here is a closed form (Lamperti's through
+# ``betainc``).  Roots lie in [0.05, 5], where the computed log Pibar
 # has a slope of at least 0.025 in log z and is smooth to a few ulps, so
 # the root itself is fixed to about 1e-14.
 GENERIC_INVERSE_CASES = [
@@ -223,8 +250,8 @@ GENERIC_INVERSE_CASES = [
     (TiltedTail(CompoundPoissonExpTail(2.0, 0.5), 0.5, 0.2), 1e-13),
     (TiltedTail(StableTail(0.5), 1.0, 0.5), 1e-13),
     (TiltedTail(TABULATED, 0.4, 0.0), 1e-13),
-    (LampertiKilledTail(0.5, 1.5), 1e-9),
-    (LampertiKilledTail(0.3, 0.7), 1e-9),
+    (LampertiKilledTail(0.5, 1.5), 1e-13),
+    (LampertiKilledTail(0.3, 0.7), 1e-13),
 ]
 
 
@@ -275,7 +302,6 @@ def test_density_is_minus_tail_derivative(t):
     # off the knots of the tabulated tails, where the density jumps
     z = np.array([0.03, 0.3, 0.77, 1.3, 2.9, 6.1])
     h = 1e-6 * z
-    # one batch, so the quadrature tail differences each segment directly
     both = t.tail_many(np.concatenate([z - h, z + h]))
     diff = (both[: z.size] - both[z.size :]) / (2.0 * h)
     dens = t.density_many(z)
