@@ -1,0 +1,154 @@
+"""Time the relaxed FFT sweep against the row-by-row loop and write a BENCH entry.
+
+For every recipe and N = 4500 * 2**k (k = 0..3) over the default grid's
+log-span, it times ``expfun.backend.back_substitute`` and the O(N^2) loop
+it replaced (median of ``--repeats`` alternating calls), and records the
+largest relative difference over the positive heights and the number of
+rows the accuracy guard summed directly.  Given the result files of
+``perfbench/run.py`` for a parent and a changed tree, it adds the medians
+of their end-to-end metrics.
+
+    python benchmarks/bench_sweep.py --out BENCH.json \\
+        [--perfbench PARENT_DIR CHANGE_DIR]
+
+The perfbench directories hold ``<workload>-*.json`` result files, one
+per run; untraced runs are paired by their order in the sorted file
+names, and a traced run (``--trace 1``) adds its stage times.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+from run import machine_info  # noqa: E402  (perfbench's machine record)
+
+import expfun as ef  # noqa: E402
+from expfun import _kernels_py, parallel  # noqa: E402
+
+SPAN = 4500 * -math.log(0.998)  # the default grid's log-span
+CELLS = (4500, 9000, 18000, 36000)
+WORKLOADS = ("validate_recipes", "refine_to_accuracy", "mc_crosscheck")
+METRICS = ("pass_s", "setup_s", "peak_rss_mb", "moment_err_max", "density_err_max")
+STAGES = (
+    "backend.sweep_s",
+    "solver.kernel_weights.total_s",
+    "solver.residual.total_s",
+    "tails.inverse_tail.total_s",
+    "trace.pass_s",
+)
+
+
+def loop_sweep(nodes, widths, weights, denoms, q, start):
+    """The row-by-row O(N^2) sweep: one dot product per row."""
+    y = np.zeros(widths.shape[0])
+    y[start] = 1.0
+    suffix = y[start] * widths[start]
+    for n in range(start - 1, -1, -1):
+        kernel = nodes[n] * np.dot(y[n + 1 : start + 1], weights[1 : start - n + 1])
+        y[n] = (kernel + q * suffix) / denoms[n]
+        suffix += y[n] * widths[n]
+    return y
+
+
+def sweep_inputs(spec, n_cells):
+    """The arguments ``solve`` hands to the sweep, with its layer rule."""
+    grid = ef.build_grid(spec, math.exp(-SPAN / n_cells), n_cells)
+    weights = ef.kernel_weights(spec, grid).values
+    nodes = grid.nodes[:-1]
+    denoms = 1.0 - spec.drift * nodes - nodes * weights[0] - spec.kill * grid.widths
+    bad = np.nonzero(denoms[: n_cells - 1] <= 0.0)[0]
+    start = n_cells - 1 if not bad.size else int(bad[0]) - 1
+    return grid.nodes, grid.widths, weights, denoms, spec.kill, start
+
+
+def sweep_table(repeats: int) -> dict:
+    table = {}
+    for path in sorted((ROOT / "recipes").glob("*.json")):
+        spec = ef.load_spec(path)
+        rows = []
+        for n_cells in CELLS:
+            args = sweep_inputs(spec, n_cells)
+            loop_s, fft_s = [], []
+            for _ in range(repeats):
+                t0 = perf_counter()
+                ref = loop_sweep(*args)
+                t1 = perf_counter()
+                y, recomputed = _kernels_py.relaxed_sweep(*args)
+                fft_s.append(perf_counter() - t1)
+                loop_s.append(t1 - t0)
+            pos = ref > 0
+            rows.append({
+                "cells": n_cells,
+                "loop_s": statistics.median(loop_s),
+                "relaxed_s": statistics.median(fft_s),
+                "max_rel_diff": float(np.max(np.abs(y[pos] / ref[pos] - 1.0))),
+                "guard_rows": recomputed,
+                "rows": args[-1] + 1,
+            })
+            print(path.stem, rows[-1], flush=True)
+        table[path.stem] = rows
+    return table
+
+
+def perfbench_summary(parent: Path, change: Path) -> dict:
+    out = {}
+    for wl in WORKLOADS:
+        sides = {}
+        for side, where in (("parent", parent), ("change", change)):
+            sides[side] = [json.loads(p.read_text()) for p in sorted(where.glob(f"{wl}-*.json"))]
+        runs = {side: [r["metrics"] for r in res if not r["trace"]] for side, res in sides.items()}
+        traced = {side: [r["per_layer"] for r in res if r["trace"]] for side, res in sides.items()}
+        if not runs["parent"]:
+            continue
+        entry = {"runs": len(runs["parent"])}
+        for name in METRICS:
+            par = [r[name] for r in runs["parent"]]
+            chg = [r[name] for r in runs["change"]]
+            q1, _, q3 = statistics.quantiles(par, n=4) if len(par) > 1 else (par[0],) * 3
+            entry[name] = {
+                "parent_median": statistics.median(par),
+                "change_median": statistics.median(chg),
+                "parent_iqr": q3 - q1,
+                "change_lower_in_pairs": sum(c < p for p, c in zip(par, chg)),
+            }
+        if traced["parent"] and traced["change"]:
+            # one traced run per side: median stage times of its traced passes
+            entry["traced_stages_s"] = {
+                name: {side: traced[side][0][name] for side in ("parent", "change")}
+                for name in STAGES
+            }
+        out[wl] = entry
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--perfbench", nargs=2, type=Path, metavar=("PARENT_DIR", "CHANGE_DIR"))
+    args = p.parse_args(argv)
+    entry = {
+        "machine": {
+            **machine_info(ef, parallel.worker_count()),
+            "sweep": f"relaxed FFT, {_kernels_py._LEAF}-row leaves, guard {_kernels_py._GUARD_RTOL:g}",
+        },
+        "sweep": sweep_table(args.repeats),
+    }
+    if args.perfbench:
+        entry["perfbench"] = perfbench_summary(*args.perfbench)
+    args.out.write_text(json.dumps(entry, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -9,7 +9,9 @@ on (0, 1/c).  On the geometric grid x_n = x_max * delta**(N-n) the kernel
 integral against a step function collapses to weights that depend only on
 index differences, W_m = integral of Pibar(u) e**u du over (mL, (m+1)L)
 with L = -log delta, so a single back-substitution sweep solves the whole
-homogeneous system; the scale is fixed by normalization.
+homogeneous system; the scale is fixed by normalization.  The sweep is a
+causal convolution of the heights with the W_m; ``backend.back_substitute``
+runs it as a relaxed FFT convolution in O(N log^2 N) operations.
 
 Two departures from the naive discretisation matter in practice and are
 documented on the fields they feed:

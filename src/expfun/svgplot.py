@@ -17,22 +17,35 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 28, 48
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c")
 
 
+# spans below this fraction of the data's magnitude are drawn as flat:
+# 1e-9 is far above the rounding of any computed value and far below any
+# difference a 480-pixel axis can show
+_FLAT_RTOL = 1e-9
+
+
+def _is_flat(lo: float, hi: float) -> bool:
+    return not hi - lo > _FLAT_RTOL * max(abs(lo), abs(hi))
+
+
 def _nice_ticks(lo: float, hi: float, target: int = 5):
+    """At most ``2 * target`` ticks at round multiples of a 1-2-5 step."""
     span = hi - lo
-    if span <= 0:
-        return [lo]
     raw = span / target
+    if _is_flat(lo, hi) or not 0.0 < raw < math.inf:
+        return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = math.ceil(lo / step) * step
+    # ticks by integer index: a running sum t += step stalls once step is
+    # below half an ulp of t
+    first = math.ceil(lo / step)
+    count = min(math.floor((hi + 1e-12 * span) / step) - first + 1, 2 * target)
     ticks = []
-    t = first
-    while t <= hi + 1e-12 * span:
+    for i in range(count):
+        t = (first + i) * step
         ticks.append(0.0 if abs(t) < 1e-12 * span else t)
-        t += step
     return ticks
 
 
@@ -66,8 +79,10 @@ def plot_lines(
     y_lo, y_hi = float(ys_all[finite].min()), float(ys_all[finite].max())
     if logx and x_lo <= 0:
         raise DomainError("log axis needs positive x")
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    if _is_flat(x_lo, x_hi):
+        x_hi = 10.0 * x_lo if logx else x_lo + max(1.0, abs(x_lo))
+    if _is_flat(y_lo, y_hi):
+        y_hi = y_lo + max(1.0, abs(y_lo))
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad

@@ -1,14 +1,16 @@
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
 from expfun import numerics, parallel
+from expfun._kernels_py import _LEAF
 from expfun.backend import back_substitute
 from expfun.errors import DenominatorError, DomainError, TruncationError
-from expfun.model import SubordinatorSpec, positive_moments
+from expfun.model import SubordinatorSpec, load_spec, positive_moments
 from expfun.numerics import integrate_cells
 from expfun.solver import GeometricGrid, build_grid, kernel_weights, residual, solve
 from expfun.tails import (
@@ -21,6 +23,7 @@ from expfun.tails import (
 )
 from expfun.validation import moment_agreement_check
 
+RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 UNIFORM = SubordinatorSpec(1.0, 1.0, ZeroTail())
 GAMMA = SubordinatorSpec(0.0, 0.0, GammaExpTail(1.0, 1.5, 2.0))
 
@@ -167,6 +170,67 @@ def dense_sweep_reference(nodes, widths, weights, denoms, q, start):
     y[:start] = solve_triangular(a, coupling[:, start], lower=False)
     y[start] = 1.0
     return y
+
+
+def reference_back_substitute(nodes, widths, weights, denoms, q, start):
+    """The row-by-row O(N^2) sweep: one dot product per row."""
+    y = np.zeros(widths.shape[0])
+    y[start] = 1.0
+    suffix = y[start] * widths[start]
+    for n in range(start - 1, -1, -1):
+        kernel = nodes[n] * np.dot(y[n + 1 : start + 1], weights[1 : start - n + 1])
+        y[n] = (kernel + q * suffix) / denoms[n]
+        suffix += y[n] * widths[n]
+    return y
+
+
+def sweep_inputs(spec, grid):
+    """The arguments ``solve`` hands to the sweep, with its layer rule."""
+    weights = kernel_weights(spec, grid).values
+    nodes, widths = grid.nodes, grid.widths
+    denoms = 1.0 - spec.drift * nodes[:-1] - nodes[:-1] * weights[0] - spec.kill * widths
+    bad = np.nonzero(denoms[: grid.n_cells - 1] <= 0.0)[0]
+    start = grid.n_cells - 1 if not bad.size else int(bad[0]) - 1
+    return nodes, widths, weights, denoms, spec.kill, start
+
+
+def assert_sweep_matches_reference(args):
+    start = args[-1]
+    y = back_substitute(*args)
+    ref = reference_back_substitute(*args)
+    assert np.all(y[start + 1 :] == 0.0)
+    pos = ref > 0
+    assert np.array_equal(y > 0, pos)
+    assert np.max(np.abs(y[pos] / ref[pos] - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("recipe", sorted(p.stem for p in RECIPES.glob("*.json")))
+def test_sweep_matches_loop_on_recipes(recipe):
+    spec = load_spec(RECIPES / f"{recipe}.json")
+    assert_sweep_matches_reference(sweep_inputs(spec, build_grid(spec, 0.998, 4500)))
+
+
+def test_sweep_guard_near_the_origin():
+    # the stretched_exp_n3 heights near x -> 0 lie far below the FFT
+    # rounding of the blocks above them; without the direct re-summation
+    # they are off by far more than 1e-12
+    spec = load_spec(RECIPES / "stretched_exp_n3.json")
+    grid = build_grid(spec, math.exp(4500 * math.log(0.998) / 9000), 9000)
+    assert_sweep_matches_reference(sweep_inputs(spec, grid))
+
+
+@pytest.mark.parametrize("rows", [_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 1, 4 * _LEAF + 3])
+@pytest.mark.parametrize("layer", [0, 5])
+@pytest.mark.parametrize("kill", [0.0, 0.5])
+def test_sweep_matches_loop_at_leaf_boundaries(rows, layer, kill):
+    spec = SubordinatorSpec(0.0, kill, GammaExpTail(1.0, 1.5, 2.0))
+    n_cells = rows + layer
+    # the span of the dense-solve test below, where every diagonal is positive
+    grid = GeometricGrid(2.0, math.exp(60 * math.log(0.95) / n_cells), n_cells)
+    args = list(sweep_inputs(spec, grid))
+    assert args[-1] == n_cells - 1
+    args[-1] -= layer  # pin ``layer`` top cells to zero
+    assert_sweep_matches_reference(args)
 
 
 @pytest.mark.parametrize("layer", [0, 7])
