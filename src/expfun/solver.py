@@ -278,14 +278,15 @@ def kernel_weights(spec: SubordinatorSpec, grid: GeometricGrid) -> KernelWeights
         return spec.tail.tail_many(u) * np.exp(u)
 
     workers = worker_count()
-    # Below 1024 cells the pool does not pay.  Measured on a 2-core Xeon,
-    # median of 9 alternating calls at the default grid's log-span, 1 vs 2
-    # threads: stretched_exp_n1/n2, the costliest tails (a gammaincc per
-    # point), break even at about N = 1024 (11.7 vs 10.6 ms and 10.0 vs
-    # 10.8 ms in two runs; 5.6 vs 5.9 ms at 512, 48.7 vs 36.6 ms at 4500).
-    # lamperti_killed breaks even near N = 1536, and the cheap tails
-    # (powered_gamma_a1/a_half, stable_with_drift) lose 0.5-1 ms to the
-    # pool's start-up at every N up to 2048.
+    # Below 1024 cells the pool does not pay.  Measured on a 2-core Xeon
+    # with the 15-point rule, median of 9 alternating calls at the default
+    # grid's log-span, 1 vs 2 threads: stretched_exp_n1/n2, the costliest
+    # tails (a gammaincc per point), break even at about N = 1024 (6.2 vs
+    # 6.6 ms and 6.8 vs 6.7 ms in one run, 7.2 vs 6.5 and 7.9 vs 8.5 ms in
+    # another; 3.7-4.3 vs 3.5-4.9 ms at 512, 13-15 vs 11-15 ms at 2048).
+    # lamperti_killed breaks even near N = 2048, and the cheap tails
+    # (powered_gamma_a1/a_half, stable_with_drift) lose 0.4-2 ms to the
+    # pool's start-up at every N up to 4500.
     if workers <= 1 or n < 1024:
         vals, errs = integrate_cells(f, edges, 1e-9, 1e-15, p_first=p)
         return KernelWeights(vals, errs)
@@ -408,8 +409,8 @@ def residual(spec: SubordinatorSpec, density: StepDensity, n_probes: int = 64) -
 
     The kernel part of the RHS at probe k, x_p = sqrt(x_k x_{k+1}), is
     the integral of Pibar(log(y/x_p)) over [x_p, x_{k+1}] times k~ on
-    cell k, plus one integral over each cell [x_j, x_{j+1}] above it.  A
-    Gauss-Legendre node of cell j sits at log(y/x_p) = (j-k-1/2) L + s_t,
+    cell k, plus one integral over each cell [x_j, x_{j+1}] above it.  For
+    any fixed rule, node t of cell j sits at log(y/x_p) = (j-k-1/2) L + s_t,
     with s_t fixed by the rule point alone, so the rule sums of cell j
     depend only on the offset m = j - k and the cell's value is its
     half-width times the offset sum S[m].  One table of S over m =
@@ -433,7 +434,7 @@ def residual(spec: SubordinatorSpec, density: StepDensity, n_probes: int = 64) -
         # rule sums of cells 1..N-1 seen from probe 0 = offset sums S[1..N-1]
         half = 0.5 * (nodes[2:] - nodes[1:-1])
         x_ref = float(math.sqrt(nodes[0] * nodes[1]))
-        lo_sums, hi_sums = _rule_sums(
+        g7_sums, k15_sums = _rule_sums(
             lambda y: spec.tail.tail_many(np.log(y / x_ref)), nodes[1:-1], nodes[2:]
         )
     worst = 0.0
@@ -452,7 +453,7 @@ def residual(spec: SubordinatorSpec, density: StepDensity, n_probes: int = 64) -
             h = half[k:]
             rest, _ = _accept_or_refine(
                 g, nodes[k + 1 : -1], nodes[k + 2 :],
-                h * lo_sums[: h.size], h * hi_sums[: h.size], 1e-8, 1e-14, None,
+                h * g7_sums[: h.size], h * k15_sums[: h.size], 1e-8, 1e-14, None,
             )
             vals = np.concatenate([first, rest])
             kernel_part = float(np.dot(vals, density.heights[k:]))

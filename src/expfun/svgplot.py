@@ -90,9 +90,10 @@ def plot_lines(
     inner_w = _WIDTH - _MARGIN_L - _MARGIN_R
     inner_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
+    # sx and sy map floats and arrays alike
     def sx(x):
         if logx:
-            f = (math.log10(x) - math.log10(x_lo)) / (
+            f = (np.log10(x) - math.log10(x_lo)) / (
                 math.log10(x_hi) - math.log10(x_lo)
             )
         else:
@@ -156,10 +157,9 @@ def plot_lines(
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         keep = np.isfinite(xs) & np.isfinite(ys)
-        pts = " ".join(
-            f"{sx(float(x)):.2f},{sy(float(np.clip(y, y_lo, y_hi))):.2f}"
-            for x, y in zip(xs[keep], ys[keep])
-        )
+        pxs = sx(xs[keep]).tolist()
+        pys = sy(np.clip(ys[keep], y_lo, y_hi)).tolist()
+        pts = " ".join(f"{px:.2f},{py:.2f}" for px, py in zip(pxs, pys))
         color = _COLORS[i % len(_COLORS)]
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '

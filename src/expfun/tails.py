@@ -326,7 +326,8 @@ class GammaExpTail(LevyTail):
 
     def tail_many(self, z):
         t = np.asarray(z, dtype=float) / self.a
-        log_em1 = t + np.log1p(-np.exp(-t))
+        # log(1 - e**-t) through expm1 keeps its digits where exp(-t) rounds to 1
+        log_em1 = t + np.log(-np.expm1(-t))
         log_val = (
             math.log(self.beta)
             - gammaln(self.a + 1.0)
@@ -448,7 +449,7 @@ class LampertiKilledTail(LevyTail):
     def density_many(self, z):
         # decays like exp(-beta*z/a), blows up like (z/a)**(-(1+a)) at 0
         t = np.asarray(z, dtype=float) / self.a
-        log_val = -self.beta * t - (1.0 + self.a) * np.log1p(-np.exp(-t))
+        log_val = -self.beta * t - (1.0 + self.a) * np.log(-np.expm1(-t))
         return np.exp(log_val - gammaln(1.0 - self.a))
 
     def tail_many(self, z):

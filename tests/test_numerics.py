@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,13 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expfun.errors import DomainError, IllConditioned, NoConvergence
+from expfun.model import load_spec
 from expfun.numerics import (
+    _WG,
+    _WK,
+    _XK,
     QuadratureRequest,
     extrapolate_limit,
     integrate,
     integrate_cells,
     quad,
 )
+
+RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
 
 def test_constant_integral():
@@ -94,6 +101,63 @@ def test_additivity_over_splits(c):
 def test_no_convergence_on_divergent_integrand():
     with pytest.raises(NoConvergence):
         integrate(QuadratureRequest(lambda x: 1.0 / x, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("k", range(23))
+def test_kronrod_rule_is_exact_on_monomials(k):
+    # K15 integrates x**k exactly for k <= 22 and G7 for k <= 13; fsum adds
+    # exactly, so what is left is the rounding of the constants and products
+    exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+    rules = [(_XK, _WK)] + ([(_XK[1::2], _WG)] if k <= 13 else [])
+    for nodes, weights in rules:
+        terms = (weights * nodes**k).tolist()
+        assert abs(math.fsum(terms) - exact) <= 1e-15 * math.fsum(map(abs, terms))
+
+
+def test_gauss_nodes_are_the_odd_kronrod_nodes():
+    nodes, _ = np.polynomial.legendre.leggauss(7)
+    np.testing.assert_array_max_ulp(_XK[1::2], nodes, maxulp=2)
+
+
+def test_integrate_cells_calls_the_integrand_once():
+    edges = np.linspace(0.0, 2.0, 41)
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.exp(-x)
+
+    integrate_cells(f, edges)
+    assert calls == [15 * (edges.size - 1)]
+
+
+_GL16 = np.polynomial.legendre.leggauss(16)
+
+
+def gl16_cells(f, edges):
+    """The 16-point Gauss-Legendre rule on every segment, as a reference."""
+    nodes, weights = _GL16
+    los, his = edges[:-1], edges[1:]
+    half, mid = 0.5 * (his - los), 0.5 * (his + los)
+    fx = f((mid[:, None] + half[:, None] * nodes).ravel()).reshape(los.size, nodes.size)
+    return half * (fx @ weights)
+
+
+@pytest.mark.parametrize("recipe", sorted(p.stem for p in RECIPES.glob("*.json")))
+def test_integrate_cells_matches_gauss_legendre_on_kernel_cells(recipe):
+    # the kernel cells of kernel_weights on the default grid (delta 0.998,
+    # 4500 cells); the first cell holds the singularity and is excluded
+    tail = load_spec(RECIPES / f"{recipe}.json").tail
+    edges = -math.log(0.998) * np.arange(4501)
+
+    def f(u):
+        return tail.tail_many(u) * np.exp(u)
+
+    vals, _ = integrate_cells(f, edges, 1e-9, 1e-15, p_first=tail.kernel_singularity())
+    ref = gl16_cells(f, edges)
+    # subnormal values (stretched_exp_n3 far out) carry fewer than 53 bits
+    tol = 1e-13 * np.abs(ref[1:]) + np.finfo(float).tiny
+    assert np.all(np.abs(vals[1:] - ref[1:]) <= tol)
 
 
 def test_integrate_cells_matches_scalar():

@@ -1,4 +1,5 @@
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -52,3 +53,52 @@ def test_plot_lines_single_x(tmp_path, logx):
     path = tmp_path / "one.svg"
     plot_lines(path, [([2.0, 2.0], [0.5, 1.5], "")], logx=logx)
     assert "nan" not in path.read_text()
+
+
+def per_point_polyline(xs, ys, logx):
+    """The polyline points string mapped point by point, as a reference.
+
+    Repeats the plot frame of ``plot_lines`` for data that is not flat:
+    the x range of the finite points, and their y range padded by 5%.
+    """
+    x_all, y_all = np.concatenate(xs), np.concatenate(ys)
+    finite = np.isfinite(x_all) & np.isfinite(y_all)
+    x_lo, x_hi = float(x_all[finite].min()), float(x_all[finite].max())
+    y_lo, y_hi = float(y_all[finite].min()), float(y_all[finite].max())
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    inner_w, inner_h = 720 - 64 - 16, 480 - 28 - 48
+
+    def sx(x):
+        if logx:
+            f = (math.log10(x) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo))
+        else:
+            f = (x - x_lo) / (x_hi - x_lo)
+        return 64 + f * inner_w
+
+    def sy(y):
+        return 28 + (1.0 - (y - y_lo) / (y_hi - y_lo)) * inner_h
+
+    out = []
+    for x_s, y_s in zip(xs, ys):
+        keep = np.isfinite(x_s) & np.isfinite(y_s)
+        out.append(
+            " ".join(
+                f"{sx(float(x)):.2f},{sy(float(np.clip(y, y_lo, y_hi))):.2f}"
+                for x, y in zip(x_s[keep], y_s[keep])
+            )
+        )
+    return out
+
+
+@pytest.mark.parametrize("logx", [False, True])
+def test_polyline_matches_per_point_mapping(tmp_path, logx):
+    rng = np.random.default_rng(7)
+    x = np.sort(rng.uniform(1e-3, 50.0, 3000))
+    y1 = np.exp(-x) * (1.0 + 0.1 * rng.standard_normal(x.size))
+    y2 = 0.5 * np.exp(-0.3 * x)
+    y2[::97] = np.nan
+    path = tmp_path / "lines.svg"
+    plot_lines(path, [(x, y1, "a"), (x, y2, "b")], logx=logx)
+    polylines = ET.parse(path).getroot().findall("{http://www.w3.org/2000/svg}polyline")
+    assert [p.get("points") for p in polylines] == per_point_polyline([x, x], [y1, y2], logx)

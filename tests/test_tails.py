@@ -61,6 +61,31 @@ def test_gamma_exp_tail_value():
     assert got == pytest.approx(2.0 / math.sqrt(3.0 * math.pi), rel=1e-12)
 
 
+def test_gamma_exp_tail_near_zero():
+    # Pibar(z) ~ beta a**(1-a)/Gamma(a+1) z**(a-1): finite and exact where
+    # exp(-z/a) rounds to 1
+    a, s, beta = 0.27, 2.79, 1.23
+    z = np.geomspace(1e-300, 1e-14, 60)
+    vals = GammaExpTail(a, s, beta).tail_many(z)
+    assert np.all(np.isfinite(vals))
+    limit = beta * a ** (1.0 - a) / math.gamma(a + 1.0)
+    np.testing.assert_allclose(z ** (1.0 - a) * vals, limit, rtol=1e-12)
+    # below t = 1, expm1(t)**(a-1) is the formula without cancellation
+    z = np.geomspace(1e-12, a, 60)
+    t = z / a
+    direct = beta / math.gamma(a + 1.0) * np.exp(-(s - 1.0) * t) * np.expm1(t) ** (a - 1.0)
+    np.testing.assert_allclose(GammaExpTail(a, s, beta).tail_many(z), direct, rtol=1e-14)
+
+
+def test_lamperti_density_near_zero():
+    # the Levy density tends to (z/a)**(-(1+a))/Gamma(1-a) as z -> 0
+    a = 0.5
+    z = np.geomspace(1e-150, 1e-14, 60)
+    vals = LampertiKilledTail(a, 1.5).density_many(z)
+    assert np.all(np.isfinite(vals))
+    np.testing.assert_allclose((z / a) ** (1.0 + a) * vals, 1.0 / math.gamma(1.0 - a), rtol=1e-12)
+
+
 def test_compound_poisson_total_mass_at_origin():
     cp = CompoundPoissonExpTail(2.0, 0.5)
     assert cp.tail_one(1e-12) == pytest.approx(2.0, rel=1e-9)
