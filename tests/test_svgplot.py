@@ -4,7 +4,16 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from expfun.svgplot import _nice_ticks, plot_lines
+from expfun.svgplot import (
+    _HEIGHT,
+    _MARGIN_B,
+    _MARGIN_L,
+    _MARGIN_R,
+    _MARGIN_T,
+    _WIDTH,
+    _nice_ticks,
+    plot_lines,
+)
 
 
 @pytest.mark.parametrize(
@@ -67,17 +76,18 @@ def per_point_polyline(xs, ys, logx):
     y_lo, y_hi = float(y_all[finite].min()), float(y_all[finite].max())
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
-    inner_w, inner_h = 720 - 64 - 16, 480 - 28 - 48
+    inner_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    inner_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def sx(x):
         if logx:
             f = (math.log10(x) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo))
         else:
             f = (x - x_lo) / (x_hi - x_lo)
-        return 64 + f * inner_w
+        return _MARGIN_L + f * inner_w
 
     def sy(y):
-        return 28 + (1.0 - (y - y_lo) / (y_hi - y_lo)) * inner_h
+        return _MARGIN_T + (1.0 - (y - y_lo) / (y_hi - y_lo)) * inner_h
 
     out = []
     for x_s, y_s in zip(xs, ys):
