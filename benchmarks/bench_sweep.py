@@ -100,7 +100,9 @@ def sweep_table(repeats: int) -> dict:
     return table
 
 
-def perfbench_summary(parent: Path, change: Path) -> dict:
+def perfbench_summary(parent: Path, change: Path, stages=STAGES) -> dict:
+    """Medians of the end-to-end metrics per workload, and the ``stages``
+    of one traced run per side."""
     out = {}
     for wl in WORKLOADS:
         sides = {}
@@ -125,7 +127,7 @@ def perfbench_summary(parent: Path, change: Path) -> dict:
             # one traced run per side: median stage times of its traced passes
             entry["traced_stages_s"] = {
                 name: {side: traced[side][0][name] for side in ("parent", "change")}
-                for name in STAGES
+                for name in stages
             }
         out[wl] = entry
     return out

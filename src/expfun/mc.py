@@ -4,10 +4,12 @@ Paths of the subordinator are simulated as compound Poisson with drift:
 jumps above the cutoff ``eps`` arrive at rate Pibar(eps) with sizes drawn
 from the normalized restriction of the jump measure, and the mean of the
 discarded small jumps is folded into the drift.  Finite-activity tails
-are simulated exactly with eps = 0.  Between jumps the integrand decays
-(or grows, in increasing mode) exponentially, so each inter-jump segment
-contributes a closed-form increment and no time discretisation is ever
-introduced.
+are simulated exactly with eps = 0.  Each round hands its generator to
+``LevyTail.sample_restricted``, which inverts the tail at uniform draws
+or, for the tails that have one, runs an exact generator.  Between jumps
+the integrand decays (or grows, in increasing mode) exponentially, so
+each inter-jump segment contributes a closed-form increment and no time
+discretisation is ever introduced.
 
 All randomness is drawn from counter-based Philox streams keyed by
 (seed, round index), with per-path rows in fixed order, so results are
@@ -115,7 +117,7 @@ def _accumulate_round(rng, spec, horizons, zeta0, rate, eps, c_eff, increasing):
         times = rng.random(total) * horizons[path_ids]
         order = np.lexsort((times, path_ids))
         times = times[order]
-        sizes = spec.tail.sample_restricted(eps, rng.random(total))[order]
+        sizes = spec.tail.sample_restricted(eps, rng, total)[order]
         if not increasing:
             # exp(-zeta) is exactly 0.0 in float64 long before a single
             # jump reaches 120, so clipping is lossless here; it keeps the
@@ -336,7 +338,7 @@ def lamperti_density_estimate(
             u_times = np.where(mask, u_times, 2.0)
             times = np.sort(u_times, axis=1) * e_q[:, None]
             times = np.where(mask, times, e_q[:, None])
-            sizes = spec.tail.sample_restricted(0.0, rng.random((n, kmax)))
+            sizes = spec.tail.sample_restricted(0.0, rng, (n, kmax))
             sizes = np.where(mask, sizes, 0.0)
         else:
             times = np.zeros((n, 0))

@@ -6,14 +6,18 @@ the package needs: closed-form Laplace integrals when available, the
 exponential decay index of the tail, the algebraic singularity exponent
 at 0+ (the kernel weights integrate ``Pibar(u) e**u`` across u = 0), the
 truncated first moment used for small-jump compensation, the Levy density
-``density_many``, and inverse-CDF samplers for jumps restricted to
-(eps, inf).
+``density_many``, and a sampler for jumps restricted to (eps, inf).
 
 ``tail_many`` is the batch entry point; hot paths hand it whole arrays.
 
-Sampling inverts the tail.  Several variants do it in closed form; the
-rest use ``LevyTail.inverse_tail``, a safeguarded Newton iteration in
-u = log z on log Pibar, with slope -z pi(z)/Pibar(z) from the density.
+``sample_restricted`` draws from a numpy ``Generator``.  Two variants have
+exact generators that invert no special function: ``StretchedExpTail``
+with b < 1 at eps = 0 raises a Gamma((1-b)/n) draw to the power 1/n, and
+``GammaExpTail`` with a < 1 takes the smaller of two closed-form draws.
+Every other case inverts the tail at uniform draws.  Several variants do
+that in closed form; the rest use ``LevyTail.inverse_tail``, a
+safeguarded Newton iteration in u = log z on log Pibar, with slope
+-z pi(z)/Pibar(z) from the density.
 Its bracket is [1e-12, hi] with hi the first of 1, 2, 4, ..., 2**80 where
 Pibar <= w (``NoConvergence`` when there is none); a Newton step that
 leaves the bracket or stalls becomes a bisection.  Draws go through in
@@ -28,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.special import beta as beta_fn
-from scipy.special import betainc, digamma, exp1, gamma as gamma_fn, gammainccinv, gammaln
+from scipy.special import betainc, digamma, exp1, gamma as gamma_fn, gammaln
 from scipy.special import gammaincc
 
 from .errors import DomainError, NoConvergence, SpecFileError
@@ -201,15 +205,17 @@ class LevyTail:
                 out[act] = u
         return np.exp(out)
 
-    def sample_restricted(self, eps: float, u: np.ndarray) -> np.ndarray:
+    def sample_restricted(self, eps: float, rng: np.random.Generator, size) -> np.ndarray:
         """Jump sizes from the normalized restriction of Pi to (eps, inf).
 
-        ``u`` is uniform(0, 1); the default maps through the tail inverse.
+        Draws an array of shape ``size`` from ``rng``.  The default maps one
+        ``rng.random(size)`` call through the tail inverse; variants with an
+        exact generator override it.
         """
         base = self.tail_one(eps) if eps > 0 else self.total_mass()
         if not np.isfinite(base):
             raise DomainError("restriction to (0, inf) has infinite mass; need eps > 0")
-        return self.inverse_tail(np.asarray(u, dtype=float) * base)
+        return self.inverse_tail(rng.random(size) * base)
 
     # -- diagnostics / serialization ----------------------------------------
     def probe_x(self) -> float:
@@ -319,8 +325,12 @@ class GammaExpTail(LevyTail):
     def __post_init__(self):
         if not 0.0 < self.a <= 1.0:
             raise DomainError("a must lie in (0, 1]")
-        if self.s < self.a:
-            raise DomainError("need s >= a")
+        if self.s <= self.a:
+            # Pibar ~ (beta/Gamma(a+1)) e**((a-s) z/a) as z -> inf
+            raise DomainError(
+                "need s > a: otherwise Pibar does not vanish as z -> inf (at "
+                "s = a it tends to beta/Gamma(a+1)), so it is not a jump tail"
+            )
         if self.beta <= 0:
             raise DomainError("beta must be positive")
 
@@ -366,6 +376,24 @@ class GammaExpTail(LevyTail):
             d = self.s - 1.0
             return np.log(self.beta / np.asarray(w, dtype=float)) / d
         return super().inverse_tail(w)
+
+    def sample_restricted(self, eps, rng, size):
+        # with x = 1 - e**(-z/a), Pibar is proportional to x**(a-1) (1-x)**(s-a),
+        # so Pibar(z)/Pibar(eps) is the survival (x/x_eps)**(a-1) of an
+        # improper draw (none when x >= 1) times the survival
+        # e**(-(s-a)(z-eps)/a) of an exponential one, and Z is the smaller of
+        # the two.  Both survivals are inverted at U = e**(-E) with E a
+        # standard exponential, uniform on (0, 1] without forming log(0).
+        # a = 1 keeps its closed-form inverse; at eps = 0 the base class
+        # raises for the infinite mass
+        if self.a == 1.0 or eps <= 0:
+            return super().sample_restricted(eps, rng, size)
+        a = self.a
+        log_x = math.log(-math.expm1(-eps / a)) + rng.standard_exponential(size) / (1.0 - a)
+        z = eps + a * rng.standard_exponential(size) / (self.s - a)
+        hit = log_x < 0.0
+        z[hit] = np.minimum(z[hit], -a * np.log(-np.expm1(log_x[hit])))
+        return z
 
     def probe_x(self):
         return max(12.0 * self.a, 2.0)
@@ -557,12 +585,14 @@ class StretchedExpTail(LevyTail):
         lo = math.gamma((2.0 - self.b) / self.n) / self.n
         return lo - float(_upper_gamma((2.0 - self.b) / self.n, eps**self.n)) / self.n
 
-    def inverse_tail(self, w):
-        if self.b < 1.0:
-            s0 = (1.0 - self.b) / self.n
-            q = np.asarray(w, dtype=float) * self.n / math.gamma(s0)
-            return gammainccinv(s0, q) ** (1.0 / self.n)
-        return super().inverse_tail(w)
+    def sample_restricted(self, eps, rng, size):
+        # X = Z**n has the measure X**((1-b)/n - 1) e**(-X) dX / n: a
+        # Gamma((1-b)/n) law (a draw below the smallest double rounds to 0,
+        # which happens often as b -> 1).  A positive cutoff takes the tail
+        # inverse
+        if self.b >= 1.0 or eps > 0:
+            return super().sample_restricted(eps, rng, size)
+        return rng.standard_gamma((1.0 - self.b) / self.n, size) ** (1.0 / self.n)
 
     def probe_x(self):
         # class_index reads Pibar up to z = 2 x_p + 2 (window end plus the

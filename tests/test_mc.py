@@ -24,6 +24,7 @@ from expfun.tails import (
     GammaExpTail,
     LampertiKilledTail,
     StableTail,
+    StretchedExpTail,
     ZeroTail,
 )
 
@@ -89,6 +90,24 @@ def test_compensated_lamperti_killed_matches_closed_law():
     samples = simulate(EX3, 20000, 11)
     assert samples.cutoff > 0
     ks = ks_distance(samples, stable_half_reciprocal_law())
+    assert ks.passed, ks
+
+
+def test_powered_gamma_half_matches_closed_law():
+    # jumps above the default cutoff come from the exact GammaExpTail generator
+    spec = SubordinatorSpec(0.0, 0.0, GammaExpTail(0.5, 1.0, 1.0))
+    samples = simulate(spec, 20000, 2024)
+    assert samples.cutoff > 0
+    ks = ks_distance(samples, powered_gamma_law(0.5, 1.0, 1.0))
+    assert ks.passed, ks
+
+
+def test_stretched_exp_against_solver_cdf():
+    # finite activity: exact paths, every jump a Gamma((1-b)/n) power
+    spec = SubordinatorSpec(0.0, 0.0, StretchedExpTail(0.25, 1))
+    samples = simulate(spec, 20000, 2024)
+    assert samples.cutoff == 0.0
+    ks = ks_distance(samples, solve(spec, build_grid(spec, 0.998, 4500)))
     assert ks.passed, ks
 
 

@@ -219,6 +219,15 @@ def test_small_jump_mean_matches_quadrature():
         assert t.small_jump_mean(eps) == pytest.approx(ref, rel=1e-7)
 
 
+def philox(seed):
+    """A generator of the kind ``mc`` hands the samplers."""
+    return np.random.Generator(np.random.Philox(seed))
+
+
+def restricted_mass(t, eps):
+    return t.tail_one(eps) if eps > 0 else t.total_mass()
+
+
 def test_samplers_invert_the_tail():
     u = np.linspace(0.02, 0.98, 25)
     cases = [
@@ -235,11 +244,71 @@ def test_samplers_invert_the_tail():
         (LampertiKilledTail(0.5, 1.5), 1e-3, 1e-12),
     ]
     for t, eps, tol in cases:
-        base = t.tail_one(eps) if eps > 0 else t.total_mass()
-        x = t.sample_restricted(eps, u)
+        base = restricted_mass(t, eps)
+        x = t.inverse_tail(u * base)
         assert np.all(x >= eps * (1 - 1e-9))
         back = t.tail_many(x) / base
         assert np.max(np.abs(back - u)) < tol
+
+
+# every sampler that maps uniform draws through ``inverse_tail``: closed-form
+# inverses, the Newton path, and the two generator tails where they fall back
+INVERSE_PATH_CASES = [
+    (StableTail(0.25), 0.01),
+    (CompoundPoissonExpTail(2.0, 0.5), 0.0),
+    (LampertiKilledTail(0.5, 1.0), 1e-3),
+    (LampertiKilledTail(0.5, 1.5), 1e-3),
+    (GammaExpTail(1.0, 1.5, 2.0), 0.0),
+    (StretchedExpTail(0.25, 1), 1e-3),
+    (StretchedExpTail(1.5, 2), 1e-3),
+    (TABULATED, 0.0),
+    (TiltedTail(GammaExpTail(0.5, 1.0, 1.0), 0.7, 0.3), 1e-3),
+    (TiltedTail(CompoundPoissonExpTail(2.0, 0.5), 0.5, 0.2), 0.0),
+]
+
+
+@pytest.mark.parametrize("t, eps", INVERSE_PATH_CASES, ids=tail_id)
+def test_inverse_path_sampler_is_one_uniform_call(t, eps):
+    # the stream of these tails is the one they drew before the sampler
+    # took a Generator: one rng.random(size) call, scaled and inverted
+    base = restricted_mass(t, eps)
+    for size in (1000, (40, 25)):
+        got = t.sample_restricted(eps, philox(3), size)
+        want = t.inverse_tail(philox(3).random(size) * base)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+# tails with an exact generator, each at the cutoff it serves
+GENERATOR_CASES = [
+    (StretchedExpTail(0.25, 1), 0.0),
+    (StretchedExpTail(0.25, 2), 0.0),
+    (StretchedExpTail(0.5, 3), 0.0),
+    (GammaExpTail(0.5, 1.0, 1.0), 1e-3),
+    (GammaExpTail(0.3, 2.0, 1.5), 1e-3),
+]
+
+
+@pytest.mark.parametrize("t, eps", GENERATOR_CASES, ids=tail_id)
+def test_exact_generator_matches_restricted_law(t, eps):
+    x = t.sample_restricted(eps, philox(11), (400, 500))
+    assert x.shape == (400, 500)
+    assert np.all(np.isfinite(x)) and np.all(x > eps)
+    assert np.array_equal(x, t.sample_restricted(eps, philox(11), (400, 500)))
+    # one-sample KS against 1 - Pibar(max(z, eps))/Pibar(eps); 1.63/sqrt(n)
+    # is the 1% critical value of the Kolmogorov distribution
+    xs = np.sort(x.ravel())
+    n = xs.size
+    cdf = 1.0 - t.tail_many(np.maximum(xs, eps)) / restricted_mass(t, eps)
+    i = np.arange(1, n + 1)
+    stat = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
+    assert stat <= 1.63 / math.sqrt(n)
+
+
+def test_infinite_restriction_needs_a_cutoff():
+    for t in (GammaExpTail(0.5, 1.0, 1.0), StretchedExpTail(1.5, 1), StableTail(0.5)):
+        with pytest.raises(DomainError, match="infinite mass"):
+            t.sample_restricted(0.0, philox(1), 10)
 
 
 def reference_inverse_tail(tail, w):
@@ -271,6 +340,8 @@ GENERIC_INVERSE_CASES = [
     (GammaExpTail(0.3, 2.0, 1.5), 1e-13),
     (StretchedExpTail(1.5, 2), 1e-13),
     (StretchedExpTail(1.0, 3), 1e-13),
+    (StretchedExpTail(0.25, 1), 1e-13),
+    (StretchedExpTail(0.5, 2), 1e-13),
     (TiltedTail(GammaExpTail(0.5, 1.0, 1.0), 0.7, 0.3), 1e-13),
     (TiltedTail(CompoundPoissonExpTail(2.0, 0.5), 0.5, 0.2), 1e-13),
     (TiltedTail(StableTail(0.5), 1.0, 0.5), 1e-13),
@@ -292,11 +363,14 @@ def test_newton_inverse_matches_bisection(t, rtol, n):
 
 
 def test_newton_inverse_keeps_2d_shape():
-    t = GammaExpTail(0.5, 1.0, 1.0)
-    u = np.linspace(0.03, 0.97, 21).reshape(3, 7)
-    x = t.sample_restricted(1e-3, u)
+    t = LampertiKilledTail(0.5, 1.5)
+    w = np.linspace(0.03, 0.97, 21).reshape(3, 7) * t.tail_one(1e-3)
+    x = t.inverse_tail(w)
     assert x.shape == (3, 7)
-    assert np.array_equal(x.ravel(), t.sample_restricted(1e-3, u.ravel()))
+    assert np.array_equal(x.ravel(), t.inverse_tail(w.ravel()))
+    y = t.sample_restricted(1e-3, philox(5), (3, 7))
+    assert y.shape == (3, 7)
+    assert np.array_equal(y.ravel(), t.sample_restricted(1e-3, philox(5), 21))
 
 
 def test_newton_inverse_clamps_below_the_bracket():
@@ -362,6 +436,10 @@ def test_bad_variant_rejected():
         tail_from_dict({"variant": "stable", "a": 1.5})
     with pytest.raises(DomainError):
         GammaExpTail(0.5, 0.2, 1.0)
+    # s = a leaves Pibar(inf) = beta/Gamma(a+1) > 0: not a jump measure
+    for a, s, beta in [(0.5, 0.5, 1.0), (1.0, 1.0, 2.0)]:
+        with pytest.raises(DomainError, match="need s > a"):
+            GammaExpTail(a, s, beta)
     with pytest.raises(DomainError):
         LampertiKilledTail(0.5, 0.5)
     with pytest.raises(DomainError):
