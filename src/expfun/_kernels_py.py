@@ -46,14 +46,26 @@ _GUARD_RTOL = 1e-11
 # 1.8e-13.
 _FFT_ERR = 4.0 * np.finfo(float).eps
 
+# Finished heights above this are rescaled by a power of two.  The guard
+# squares a block of up to N/2 heights, which for N < 2**18 overflows once
+# they pass 2**503; the bound leaves 2**203 for the growth within the next leaf.
+# The largest growth of one leaf's peak over all earlier heights is 2**38.3
+# on the repro of ``test_solve_rescales_heights_that_would_overflow``
+# (N = 72000), and no recipe reaches the bound at N = 4500..36000, so their
+# heights do not change.
+_RESCALE_ABOVE = 2.0**300
+
 
 def back_substitute(nodes, widths, weights, denoms, q, start):
     """Solve the homogeneous discrete integral equation from the top down.
 
     nodes[n] is the left edge of cell n, widths[n] its width, weights[m]
     the kernel weight for an index offset of m, denoms[n] the diagonal
-    1 - c x_n - x_n W_0 - q w_n.  Cell ``start`` gets the provisional
-    height 1; cells above it stay 0.  Returns the unnormalized heights.
+    1 - c x_n - x_n W_0 - q w_n.  Cells above ``start`` stay 0.  The
+    system is homogeneous, so the heights are known only up to a positive
+    factor: the sweep starts cell ``start`` at 1 and divides all finished
+    heights by a power of two whenever they pass ``_RESCALE_ABOVE``.
+    Returns the unnormalized heights.
     """
     return relaxed_sweep(nodes, widths, weights, denoms, q, start)[0]
 
@@ -103,6 +115,14 @@ def relaxed_sweep(nodes, widths, weights, denoms, q, start):
             zb = np.linalg.solve(mat, x[a:b] * far[a:b] + q * prefix)
         z[a:b] = zb
         prefix += np.dot(w[a:b], zb)
+        peak = np.max(np.abs(zb))
+        if peak > _RESCALE_ABOVE:
+            # a power of two scales exactly
+            factor = 2.0 ** -math.frexp(peak)[1]
+            z[:b] *= factor
+            far[b:] *= factor
+            err[b:] *= factor
+            prefix *= factor
 
         # leaves [done - span, done) form a finished left half; add their
         # sums to the right half [done, done + span)

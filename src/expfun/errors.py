@@ -59,7 +59,8 @@ class DenominatorError(ExpfunError):
 
 
 class NonPositive(ExpfunError):
-    """The solved step density has a negative height."""
+    """The solved step density has a negative or non-finite height, or no
+    positive mass."""
 
 
 class InfiniteFunctional(ExpfunError):

@@ -13,7 +13,7 @@ discretisation is ever introduced.
 
 All randomness is drawn from counter-based Philox streams keyed by
 (seed, round index), with per-path rows in fixed order, so results are
-bit-for-bit reproducible and independent of any worker partitioning.
+bit-for-bit reproducible.
 """
 
 from __future__ import annotations

@@ -262,10 +262,8 @@ def integrate_cells(
     estimates differ by more than tolerance fall back to the scalar
     adaptive routine.  ``p_first`` marks an algebraic singularity of ``f``
     at ``edges[0]`` and routes the first segment through the
-    desingularizing substitution.  ``abs_tol`` is an
-    absolute per-segment threshold, so splitting one call into several
-    makes the same refinement decisions (values agree to rounding; the
-    batched dot products may differ by an ulp across batch shapes).
+    desingularizing substitution.  ``abs_tol`` is an absolute
+    per-segment threshold.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):

@@ -1,22 +1,10 @@
-"""Worker-count handling; EXPFUN_THREADS caps the pool size."""
+"""The worker count of the benchmark's machine record.
 
-import os
-
-
-def _usable_cores() -> int:
-    """Cores this process may run on (its affinity set where the platform
-    reports one, which ``os.cpu_count`` ignores)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+The kernel weights run in one serial pass, so the count is always 1.
+``perfbench/run.py`` (and the scripts under ``benchmarks/``) record it
+with the machine; they are its only readers.
+"""
 
 
 def worker_count() -> int:
-    raw = os.environ.get("EXPFUN_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            return 1
-    return min(4, _usable_cores())
+    return 1

@@ -30,7 +30,6 @@ documented on the fields they feed:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,7 +39,6 @@ from .backend import back_substitute
 from .errors import DenominatorError, DomainError, NonPositive, TruncationError
 from .model import SubordinatorSpec, positive_moments
 from .numerics import _accept_or_refine, _rule_sums, integrate_cells
-from .parallel import worker_count
 from .tails import ZeroTail
 
 _TAIL_MASS_TARGET = 1e-6
@@ -265,40 +263,18 @@ def build_grid(
 
 
 def kernel_weights(spec: SubordinatorSpec, grid: GeometricGrid) -> KernelWeights:
-    """The N kernel integrals W_m; independent tasks, chunked across
-    workers (EXPFUN_THREADS caps the pool)."""
+    """The N kernel integrals W_m, in one batched quadrature pass."""
     n = grid.n_cells
     if isinstance(spec.tail, ZeroTail):
         return KernelWeights(np.zeros(n), np.zeros(n))
-    L = grid.log_step
-    edges = L * np.arange(n + 1)
-    p = spec.tail.kernel_singularity()
+    edges = grid.log_step * np.arange(n + 1)
 
     def f(u):
         return spec.tail.tail_many(u) * np.exp(u)
 
-    workers = worker_count()
-    # Below 1024 cells the pool does not pay.  Measured on a 2-core Xeon
-    # with the 15-point rule, median of 9 alternating calls at the default
-    # grid's log-span, 1 vs 2 threads: stretched_exp_n1/n2, the costliest
-    # tails (a gammaincc per point), break even at about N = 1024 (6.2 vs
-    # 6.6 ms and 6.8 vs 6.7 ms in one run, 7.2 vs 6.5 and 7.9 vs 8.5 ms in
-    # another; 3.7-4.3 vs 3.5-4.9 ms at 512, 13-15 vs 11-15 ms at 2048).
-    # lamperti_killed breaks even near N = 2048, and the cheap tails
-    # (powered_gamma_a1/a_half, stable_with_drift) lose 0.4-2 ms to the
-    # pool's start-up at every N up to 4500.
-    if workers <= 1 or n < 1024:
-        vals, errs = integrate_cells(f, edges, 1e-9, 1e-15, p_first=p)
-        return KernelWeights(vals, errs)
-
-    bounds = np.linspace(0, n, workers + 1).astype(int)
-    chunks = [(edges[a : b + 1], p if a == 0 else None) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(
-            pool.map(lambda c: integrate_cells(f, c[0], 1e-9, 1e-15, p_first=c[1]), chunks)
-        )
-    vals = np.concatenate([part[0] for part in parts])
-    errs = np.concatenate([part[1] for part in parts])
+    vals, errs = integrate_cells(
+        f, edges, 1e-9, 1e-15, p_first=spec.tail.kernel_singularity()
+    )
     return KernelWeights(vals, errs)
 
 
@@ -362,6 +338,9 @@ def solve(
             raise DenominatorError(k, float(denom[k]))
 
     raw = back_substitute(grid.nodes, w, weights.values, denom, spec.kill, start)
+    if not np.all(np.isfinite(raw)):
+        k = int(np.nonzero(~np.isfinite(raw))[0][0])
+        raise NonPositive(f"back-substitution produced a non-finite height y[{k}] = {raw[k]}")
 
     peak = float(np.max(raw))
     if peak <= 0:

@@ -1,15 +1,15 @@
 import math
-import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from expfun import numerics, parallel
+from expfun import numerics
+from expfun import solver as solver_module
 from expfun._kernels_py import _LEAF
 from expfun.backend import back_substitute
-from expfun.errors import DenominatorError, DomainError, TruncationError
+from expfun.errors import DenominatorError, DomainError, NonPositive, TruncationError
 from expfun.model import SubordinatorSpec, load_spec, positive_moments
 from expfun.numerics import integrate_cells
 from expfun.solver import GeometricGrid, build_grid, kernel_weights, residual, solve
@@ -95,28 +95,19 @@ def test_weights_compound_poisson_closed_form():
     assert w[0] == pytest.approx(2.0 * (math.exp(0.0005) - 1.0) / 0.5, rel=1e-9)
 
 
-def test_weights_deterministic_across_worker_counts(monkeypatch):
-    # N above the 1024-cell serial cut-off, so that 3 workers run the pool
+def test_weights_are_one_reproducible_quadrature_pass():
     grid = GeometricGrid(10.0, 0.9985, 2048)
+    edges = grid.log_step * np.arange(grid.n_cells + 1)
     for tail in (GammaExpTail(1.0, 1.5, 2.0), LampertiKilledTail(0.5, 1.5)):
         spec = SubordinatorSpec(0.0, 0.0, tail)
-        monkeypatch.setenv("EXPFUN_THREADS", "1")
-        one = kernel_weights(spec, grid).values
-        monkeypatch.setenv("EXPFUN_THREADS", "3")
-        three = kernel_weights(spec, grid).values
-        # same refinement decisions; values agree to rounding (batched dots
-        # can differ by an ulp across batch shapes)
-        assert np.allclose(one, three, rtol=1e-14, atol=0.0)
-        again = kernel_weights(spec, grid).values
-        assert np.array_equal(three, again)
-
-
-def test_default_pool_follows_the_affinity_set(monkeypatch):
-    monkeypatch.delenv("EXPFUN_THREADS", raising=False)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert parallel.worker_count() == 1
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    assert parallel.worker_count() == 4
+        weights = kernel_weights(spec, grid)
+        vals, errs = integrate_cells(
+            lambda u: tail.tail_many(u) * np.exp(u),
+            edges, 1e-9, 1e-15, p_first=tail.kernel_singularity(),
+        )
+        assert np.array_equal(weights.values, vals)
+        assert np.array_equal(weights.error_estimates, errs)
+        assert np.array_equal(kernel_weights(spec, grid).values, weights.values)
 
 
 def test_truncation_cap():
@@ -247,6 +238,31 @@ def test_sweep_matches_dense_solve(layer):
     assert np.all(y[start + 1 :] == 0.0)
     ref = dense_sweep_reference(nodes, widths, weights, denoms, spec.kill, start)
     assert np.allclose(y, ref, rtol=1e-12, atol=0.0)
+
+
+def test_solve_rescales_heights_that_would_overflow():
+    # the heights span more than the double range down this grid; unscaled,
+    # the sweep overflowed and solve returned NaN heights
+    spec = SubordinatorSpec(0.0, 0.834177093343886, StableTail(0.7428112037297729))
+    d = solve(spec, build_grid(spec, 0.99987488, 72000))
+    assert np.all(np.isfinite(d.heights)) and np.all(d.heights >= 0)
+    positive = d.heights[d.heights > 0]
+    assert math.log(positive.max()) - math.log(positive.min()) > math.log(np.finfo(float).max)
+    assert d.covered_mass + d.left_gap_mass_bound == pytest.approx(1.0, abs=1e-12)
+    moments = positive_moments(spec, 3)
+    for n in (1, 2, 3):
+        assert d.moment_of(n) == pytest.approx(moments.value(n), rel=2e-3)
+
+
+def test_solve_rejects_non_finite_heights(monkeypatch):
+    def overflowing(*args):
+        y = back_substitute(*args)
+        y[0] = np.inf
+        return y
+
+    monkeypatch.setattr(solver_module, "back_substitute", overflowing)
+    with pytest.raises(NonPositive, match="non-finite"):
+        solve(GAMMA, build_grid(GAMMA, 0.99, 200))
 
 
 def test_killed_drift_q2():
