@@ -2,11 +2,13 @@
 
 Subcommands: solve, validate, moments, transform, mc.  Models come from a
 JSON file ({"drift": c, "kill": q, "tail": {"variant": ..., ...}}); every
-command writes CSV tables (and SVG plots with --plot) into --out.
+command writes its tables into --out, and solve, validate and transform
+also write SVG plots with --plot.  Each command accepts only the flags it
+reads (``expfun <command> --help``).
 
-Exit codes: 0 success, 2 configuration problems, 3 numerical failures,
-4 failed validation checks.  Errors print one machine-readable JSON line
-on stderr.
+Exit codes: 0 success, 2 configuration problems (a bad command line
+included), 3 numerical failures, 4 failed validation checks.  Errors print
+one machine-readable JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -14,16 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from .errors import ExpfunError, InsufficientGrid, SpecFileError
 from .mc import ks_distance, simulate
 from .model import (
-    SubordinatorSpec,
     class_index,
     dual_sn,
     load_spec,
@@ -46,98 +45,77 @@ EXIT_NUMERICAL = 3
 EXIT_VALIDATION = 4
 
 
-@dataclass
-class RunConfig:
-    command: str
-    spec_path: Path
-    delta: float = 0.998
-    n_cells: int = 4500
-    x_max: Optional[float] = None
-    out_dir: Path = Path(".")
-    plot: bool = False
-    mc_samples: int = 100000
-    seed: int = 0
-    cutoff: Optional[float] = None
-    probes: int = 64
-    orders: int = 5
-    rho: Optional[float] = None
-    dual: bool = False
+# flag -> (accepts the value, message when it does not); main applies the
+# entries whose flag the command has
+_RANGES = {
+    "delta": (lambda v: 0.0 < v < 1.0, "--delta must lie in (0, 1)"),
+    "cells": (lambda v: v >= 10, "--cells must be at least 10"),
+    "xmax": (lambda v: v is None or v > 0, "--xmax must be positive"),
+    # ks_distance needs 100 samples: fail before the solve and the simulation
+    "mc_samples": (lambda v: v >= 100, "--mc-samples must be at least 100"),
+    "probes": (lambda v: v >= 8, "--probes must be at least 8"),
+    "orders": (lambda v: v >= 1, "--orders must be at least 1"),
+    "cutoff": (lambda v: v is None or v >= 0, "--cutoff must be nonnegative"),
+}
 
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise SpecFileError("--delta must lie in (0, 1)")
-        if self.n_cells < 10:
-            raise SpecFileError("--cells must be at least 10")
-        if self.x_max is not None and self.x_max <= 0:
-            raise SpecFileError("--xmax must be positive")
-        if self.mc_samples < 1:
-            raise SpecFileError("--mc-samples must be positive")
-        if self.probes < 8:
-            raise SpecFileError("--probes must be at least 8")
-        if self.orders < 1:
-            raise SpecFileError("--orders must be at least 1")
-        if self.cutoff is not None and self.cutoff < 0:
-            raise SpecFileError("--cutoff must be nonnegative")
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as a SpecFileError, so that it ends like
+    every other configuration error; subparsers inherit the class."""
+
+    def error(self, message):
+        raise SpecFileError(message)
 
 
 def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="expfun",
         description="Densities of exponential functionals of killed subordinators",
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--spec", required=True, help="model-spec JSON file")
+    def command(name, summary, *flag_groups):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--spec", type=Path, required=True, help="model-spec JSON file")
+        p.add_argument("--out", type=Path, default=Path("."), help="output directory")
+        for add_flags in flag_groups:
+            add_flags(p)
+        return p
+
+    def grid(p):
         p.add_argument("--delta", type=float, default=0.998, help="grid ratio in (0,1)")
         p.add_argument("--cells", type=int, default=4500, help="number of grid cells")
         p.add_argument("--xmax", type=float, default=None, help="truncation override (drift 0 only)")
-        p.add_argument("--out", default=".", help="output directory")
+
+    def density_outputs(p):
         p.add_argument("--plot", action="store_true", help="also write SVG plots")
         p.add_argument("--probes", type=int, default=64, help="probe count for checks")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument("--mc-samples", type=int, default=100000, help="Monte-Carlo sample count")
-        p.add_argument("--cutoff", type=float, default=None, help="small-jump cutoff (default: automatic)")
 
-    p_solve = sub.add_parser("solve", help="solve for the density")
-    common(p_solve)
-    p_val = sub.add_parser("validate", help="solve and run validation checks")
-    common(p_val)
-    p_mom = sub.add_parser("moments", help="moment recursion table")
-    common(p_mom)
+    command("solve", "solve for the density", grid, density_outputs)
+    command("validate", "solve and run validation checks", grid, density_outputs)
+    p_mom = command("moments", "moment recursion table")
     p_mom.add_argument("--orders", type=int, default=5, help="highest moment order")
-    p_tr = sub.add_parser("transform", help="power tilt or spectrally negative dual")
-    common(p_tr)
+    p_tr = command("transform", "power tilt or spectrally negative dual", grid, density_outputs)
     group = p_tr.add_mutually_exclusive_group(required=True)
     group.add_argument("--rho", type=float, default=None, help="tilt exponent")
     group.add_argument("--dual", action="store_true", help="dual transform")
-    p_mc = sub.add_parser("mc", help="simulate and compare against the solver")
-    common(p_mc)
+    p_mc = command("mc", "simulate and compare against the solver", grid)
+    p_mc.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p_mc.add_argument("--mc-samples", type=int, default=100000, help="Monte-Carlo sample count")
+    p_mc.add_argument("--cutoff", type=float, default=None, help="small-jump cutoff (default: automatic)")
     return top
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        spec_path=Path(args.spec),
-        delta=args.delta,
-        n_cells=args.cells,
-        x_max=args.xmax,
-        out_dir=Path(args.out),
-        plot=args.plot,
-        mc_samples=args.mc_samples,
-        seed=args.seed,
-        cutoff=args.cutoff,
-        probes=args.probes,
-        orders=getattr(args, "orders", 5),
-        rho=getattr(args, "rho", None),
-        dual=getattr(args, "dual", False),
-    )
-
-
-def _solve_pipeline(cfg: RunConfig, spec: SubordinatorSpec):
-    grid = build_grid(spec, cfg.delta, cfg.n_cells, x_max_override=cfg.x_max)
+def _solve(args, spec):
+    grid = build_grid(spec, args.delta, args.cells, x_max_override=args.xmax)
     return grid, solve(spec, grid)
+
+
+def _solve_and_write(args, spec, prefix="density"):
+    grid, density = _solve(args, spec)
+    res = residual(spec, density, n_probes=args.probes)
+    _density_outputs(args, spec, grid, density, res, prefix)
+    return grid, density
 
 
 def _write_summary(path, lines):
@@ -145,10 +123,9 @@ def _write_summary(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
-def _density_outputs(cfg: RunConfig, spec, grid, density, res, prefix="density"):
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = cfg.out_dir / f"{prefix}.csv"
-    density.to_csv(csv_path)
+def _density_outputs(args, spec, grid, density, res, prefix):
+    args.out.mkdir(parents=True, exist_ok=True)
+    density.to_csv(args.out / f"{prefix}.csv")
     lines = [
         f"spec: {json.dumps(spec.to_dict(), sort_keys=True)}",
         f"grid: delta={grid.delta:g} cells={grid.n_cells} x_max={grid.x_max:.12g} "
@@ -157,34 +134,28 @@ def _density_outputs(cfg: RunConfig, spec, grid, density, res, prefix="density")
         f"covered mass: {density.covered_mass:.12g}",
         f"left-gap mass bound: {density.left_gap_mass_bound:.12g}",
         f"top zero cells: {density.top_zero_cells}",
-        f"equation residual ({cfg.probes} probes): {res:.6g}",
+        f"equation residual ({args.probes} probes): {res:.6g}",
     ]
-    _write_summary(cfg.out_dir / "summary.txt", lines)
-    if cfg.plot:
+    _write_summary(args.out / "summary.txt", lines)
+    if args.plot:
         mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
         plot_lines(
-            cfg.out_dir / f"{prefix}.svg",
+            args.out / f"{prefix}.svg",
             [(mids, density.heights, "solved density")],
             title="density of the exponential functional",
             xlabel="x",
             ylabel="k(x)",
         )
-    return csv_path
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    spec = load_spec(cfg.spec_path)
-    grid, density = _solve_pipeline(cfg, spec)
-    res = residual(spec, density, n_probes=cfg.probes)
-    _density_outputs(cfg, spec, grid, density, res)
+def cmd_solve(args) -> int:
+    _solve_and_write(args, load_spec(args.spec))
     return 0
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    spec = load_spec(cfg.spec_path)
-    grid, density = _solve_pipeline(cfg, spec)
-    res = residual(spec, density, n_probes=cfg.probes)
-    _density_outputs(cfg, spec, grid, density, res)
+def cmd_validate(args) -> int:
+    spec = load_spec(args.spec)
+    grid, density = _solve_and_write(args, spec)
 
     reports: list[ValidationReport] = []
     # the scheme is first order: moments carry a bias ~ n(n+1)L/4
@@ -202,10 +173,10 @@ def cmd_validate(cfg: RunConfig) -> int:
         print(f"[SKIP] limit check: {exc}")
     if ratio_report is not None:
         reports.append(ratio_report)
-        ratio_report.to_csv(cfg.out_dir / "ratio.csv")
-        if cfg.plot:
+        ratio_report.to_csv(args.out / "ratio.csv")
+        if args.plot:
             plot_lines(
-                cfg.out_dir / "ratio.svg",
+                args.out / "ratio.svg",
                 [
                     (ratio_report.probes, ratio_report.measured, "measured"),
                     (ratio_report.probes, ratio_report.oracle, "limit"),
@@ -216,7 +187,7 @@ def cmd_validate(cfg: RunConfig) -> int:
                 logx=True,
             )
 
-    with open(cfg.out_dir / "validation.csv", "w") as fh:
+    with open(args.out / "validation.csv", "w") as fh:
         fh.write("check,probe,measured,oracle\n")
         for rep in reports:
             for p, m, o in zip(rep.probes, rep.measured, rep.oracle):
@@ -226,11 +197,11 @@ def cmd_validate(cfg: RunConfig) -> int:
     return 0 if all(r.passed for r in reports) else EXIT_VALIDATION
 
 
-def cmd_moments(cfg: RunConfig) -> int:
-    spec = load_spec(cfg.spec_path)
-    ms = positive_moments(spec, cfg.orders)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.out_dir / "moments.csv"
+def cmd_moments(args) -> int:
+    spec = load_spec(args.spec)
+    ms = positive_moments(spec, args.orders)
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / "moments.csv"
     with open(path, "w") as fh:
         fh.write("order,value,provenance\n")
         for entry in ms.entries:
@@ -240,23 +211,20 @@ def cmd_moments(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_transform(cfg: RunConfig) -> int:
-    spec = load_spec(cfg.spec_path)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.rho is not None:
-        tilted = rho_tilt(spec, cfg.rho)
-        save_spec(tilted, cfg.out_dir / "tilted_spec.json")
-        grid = build_grid(tilted, cfg.delta, cfg.n_cells, x_max_override=cfg.x_max)
-        density = solve(tilted, grid)
-        res = residual(tilted, density, n_probes=cfg.probes)
-        _density_outputs(cfg, tilted, grid, density, res, prefix="tilted_density")
+def cmd_transform(args) -> int:
+    spec = load_spec(args.spec)
+    args.out.mkdir(parents=True, exist_ok=True)
+    if args.rho is not None:
+        tilted = rho_tilt(spec, args.rho)
+        save_spec(tilted, args.out / "tilted_spec.json")
+        _solve_and_write(args, tilted, prefix="tilted_density")
         return 0
-    grid, density = _solve_pipeline(cfg, spec)
+    grid, density = _solve(args, spec)
     psi, qstar = dual_sn(spec)
     k_dual = dual_transform(density, qstar)
     xs = np.geomspace(1.05 / grid.x_max, 0.95 / grid.x0, 512)
     vals = k_dual(xs)
-    with open(cfg.out_dir / "dual_density.csv", "w") as fh:
+    with open(args.out / "dual_density.csv", "w") as fh:
         fh.write("x,k\n")
         for x, k in zip(xs, vals):
             fh.write(f"{x:.12g},{k:.12g}\n")
@@ -266,10 +234,10 @@ def cmd_transform(cfg: RunConfig) -> int:
     ]
     for lam in (0.5, 1.0, 2.0, 4.0):
         lines.append(f"psi({lam:g}) = {psi(lam):.12g}")
-    _write_summary(cfg.out_dir / "dual_summary.txt", lines)
-    if cfg.plot:
+    _write_summary(args.out / "dual_summary.txt", lines)
+    if args.plot:
         plot_lines(
-            cfg.out_dir / "dual_density.svg",
+            args.out / "dual_density.svg",
             [(xs, vals, "dual density")],
             title="density of the dual exponential functional",
             xlabel="x",
@@ -279,21 +247,21 @@ def cmd_transform(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_mc(cfg: RunConfig) -> int:
-    spec = load_spec(cfg.spec_path)
-    grid, density = _solve_pipeline(cfg, spec)
-    samples = simulate(spec, cfg.mc_samples, cfg.seed, cutoff=cfg.cutoff)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    samples.to_csv(cfg.out_dir / "samples.csv")
+def cmd_mc(args) -> int:
+    spec = load_spec(args.spec)
+    _, density = _solve(args, spec)
+    samples = simulate(spec, args.mc_samples, args.seed, cutoff=args.cutoff)
+    args.out.mkdir(parents=True, exist_ok=True)
+    samples.to_csv(args.out / "samples.csv")
     ks = ks_distance(samples, density)
     lines = [
-        f"samples: {cfg.mc_samples} seed: {cfg.seed} cutoff: {samples.cutoff:.6g}",
+        f"samples: {args.mc_samples} seed: {args.seed} cutoff: {samples.cutoff:.6g}",
         f"KS statistic: {ks.statistic:.6g}",
         f"band (5% level): {ks.band:.6g}",
         f"discretisation slack: {ks.slack:.6g}",
         f"pass: {ks.passed}",
     ]
-    _write_summary(cfg.out_dir / "ks_report.txt", lines)
+    _write_summary(args.out / "ks_report.txt", lines)
     print("\n".join(lines))
     return 0 if ks.passed else EXIT_VALIDATION
 
@@ -308,20 +276,17 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else 0
-    try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
-    except SpecFileError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return EXIT_CONFIG
+        args = _parser().parse_args(argv)
+        for dest, (ok, message) in _RANGES.items():
+            if hasattr(args, dest) and not ok(getattr(args, dest)):
+                raise SpecFileError(message)
+        return _COMMANDS[args.command](args)
+    except SystemExit:  # only --help exits: a bad command line raises SpecFileError
+        return 0
     except ExpfunError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_CONFIG if isinstance(exc, SpecFileError) else EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import CutoffError, DomainError, InfiniteFunctional
 from .model import SubordinatorSpec, laplace_exponent
-from .numerics import extrapolate_limit
 from .reference import ReferenceLaw
 from .solver import StepDensity
 from .tails import ZeroTail

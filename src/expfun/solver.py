@@ -333,9 +333,6 @@ def solve(
         if not layer_ok:
             raise DenominatorError(first_bad, float(denom[first_bad]))
         start = first_bad - 1
-        if np.any(denom[:start] <= 0.0):
-            k = int(np.nonzero(denom[:start] <= 0.0)[0][0])
-            raise DenominatorError(k, float(denom[k]))
 
     raw = back_substitute(grid.nodes, w, weights.values, denom, spec.kill, start)
     if not np.all(np.isfinite(raw)):

@@ -9,7 +9,6 @@ pass only when |limit - oracle| <= threshold * |oracle| + uncertainty.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 

@@ -1,11 +1,16 @@
+import argparse
 import json
 import math
+import re
+import shlex
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from expfun.cli import main
+from expfun.cli import _parser, main
+from expfun.errors import SpecFileError
 
 
 def write_spec(tmp_path, payload, name="model.json"):
@@ -186,3 +191,88 @@ def test_mc_command(tmp_path, capsys):
     lines = (out / "samples.csv").read_text().splitlines()
     assert lines[0].startswith("# ") and lines[1] == "I"
     assert len(lines) == 20002
+
+
+def one_json_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    return json.loads(lines[0])
+
+
+def test_bad_command_lines_print_one_json_line(capsys):
+    for argv in (["nonsense"], []):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert one_json_line(captured.err)["error"] == "SpecFileError"
+
+
+def test_help_exits_0(capsys):
+    assert main(["mc", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert "--mc-samples" in captured.out and captured.err == ""
+
+
+UNREAD_BY_GRID_COMMANDS = (("--seed", "1"), ("--mc-samples", "1000"), ("--cutoff", "0.1"))
+UNREAD_FLAGS = (
+    [(cmd, flag) for cmd in ("solve", "validate", "transform") for flag in UNREAD_BY_GRID_COMMANDS]
+    + [
+        ("moments", flag)
+        for flag in (("--delta", "0.99"), ("--cells", "9000"), ("--xmax", "2.0"),
+                     ("--plot",), ("--probes", "16")) + UNREAD_BY_GRID_COMMANDS
+    ]
+    + [("mc", ("--plot",)), ("mc", ("--probes", "16"))]
+)
+
+
+@pytest.mark.parametrize(
+    "command,flag", UNREAD_FLAGS, ids=[f"{cmd} {flag[0]}" for cmd, flag in UNREAD_FLAGS]
+)
+def test_command_rejects_flags_it_does_not_read(tmp_path, capsys, command, flag):
+    spec = write_spec(tmp_path, UNIFORM_SPEC)
+    out = tmp_path / "out"
+    mode = ["--rho", "1.0"] if command == "transform" else []
+    rc = main([command, "--spec", str(spec), "--out", str(out), *mode, *flag])
+    assert rc == 2
+    err = one_json_line(capsys.readouterr().err)
+    assert err["error"] == "SpecFileError"
+    assert flag[0] in err["message"]
+    assert not out.exists()
+
+
+def test_mc_too_few_samples_exits_2_before_any_work(tmp_path, capsys):
+    spec = write_spec(tmp_path, GAMMA_SPEC)
+    out = tmp_path / "mc"
+    rc = main(["mc", "--spec", str(spec), "--mc-samples", "50", "--out", str(out)])
+    assert rc == 2
+    err = one_json_line(capsys.readouterr().err)
+    assert err["message"] == "--mc-samples must be at least 100"
+    assert not out.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_command_lines_parse():
+    lines = [line.strip() for line in README.read_text().splitlines()
+             if line.strip().startswith("expfun ")]
+    assert len(lines) >= 6
+    parser = _parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SpecFileError as exc:
+            pytest.fail(f"README line {line!r} does not parse: {exc}")
+
+
+def test_readme_flag_table_matches_the_parser():
+    (subparsers,) = [a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    rows = {}
+    for line in README.read_text().splitlines():
+        m = re.match(r"\| `(\w+)` \|(.*)\|$", line)
+        if m:
+            rows[m.group(1)] = set(re.findall(r"--[\w-]+", m.group(2)))
+    assert set(rows) == set(subparsers.choices)
+    for name, parser in subparsers.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings if s.startswith("--")}
+        assert rows[name] == flags - {"--help", "--spec", "--out"}, name
