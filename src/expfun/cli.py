@@ -31,7 +31,7 @@ from .model import (
     save_spec,
 )
 from .reference import dual_transform
-from .solver import build_grid, residual, solve
+from .solver import build_grid, residual, residual_cell_count, solve
 from .svgplot import plot_lines
 from .validation import (
     ValidationReport,
@@ -53,7 +53,6 @@ _RANGES = {
     "xmax": (lambda v: v is None or v > 0, "--xmax must be positive"),
     # ks_distance needs 100 samples: fail before the solve and the simulation
     "mc_samples": (lambda v: v >= 100, "--mc-samples must be at least 100"),
-    "probes": (lambda v: v >= 8, "--probes must be at least 8"),
     "orders": (lambda v: v >= 1, "--orders must be at least 1"),
     "cutoff": (lambda v: v is None or v >= 0, "--cutoff must be nonnegative"),
 }
@@ -61,7 +60,11 @@ _RANGES = {
 
 class _Parser(argparse.ArgumentParser):
     """Raises a bad command line as a SpecFileError, so that it ends like
-    every other configuration error; subparsers inherit the class."""
+    every other configuration error, and takes no abbreviated flag;
+    subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise SpecFileError(message)
@@ -87,15 +90,14 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--cells", type=int, default=4500, help="number of grid cells")
         p.add_argument("--xmax", type=float, default=None, help="truncation override (drift 0 only)")
 
-    def density_outputs(p):
+    def plot(p):
         p.add_argument("--plot", action="store_true", help="also write SVG plots")
-        p.add_argument("--probes", type=int, default=64, help="probe count for checks")
 
-    command("solve", "solve for the density", grid, density_outputs)
-    command("validate", "solve and run validation checks", grid, density_outputs)
+    command("solve", "solve for the density", grid, plot)
+    command("validate", "solve and run validation checks", grid, plot)
     p_mom = command("moments", "moment recursion table")
     p_mom.add_argument("--orders", type=int, default=5, help="highest moment order")
-    p_tr = command("transform", "power tilt or spectrally negative dual", grid, density_outputs)
+    p_tr = command("transform", "power tilt or spectrally negative dual", grid, plot)
     group = p_tr.add_mutually_exclusive_group(required=True)
     group.add_argument("--rho", type=float, default=None, help="tilt exponent")
     group.add_argument("--dual", action="store_true", help="dual transform")
@@ -113,7 +115,7 @@ def _solve(args, spec):
 
 def _solve_and_write(args, spec, prefix="density"):
     grid, density = _solve(args, spec)
-    res = residual(spec, density, n_probes=args.probes)
+    res = residual(spec, density)
     _density_outputs(args, spec, grid, density, res, prefix)
     return grid, density
 
@@ -134,7 +136,7 @@ def _density_outputs(args, spec, grid, density, res, prefix):
         f"covered mass: {density.covered_mass:.12g}",
         f"left-gap mass bound: {density.left_gap_mass_bound:.12g}",
         f"top zero cells: {density.top_zero_cells}",
-        f"equation residual ({args.probes} probes): {res:.6g}",
+        f"equation residual ({residual_cell_count(grid)} cells): {res:.6g}",
     ]
     _write_summary(args.out / "summary.txt", lines)
     if args.plot:

@@ -5,7 +5,8 @@ Three building blocks used throughout the package:
 * adaptive Gauss-Kronrod quadrature with support for an algebraic
   endpoint singularity and for infinite upper limits (tail doubling),
 * a vectorized integrator over many adjacent segments at once (the
-  workhorse behind kernel weights and residual probes),
+  workhorse behind the kernel weights and the residual's one table of
+  cell integrals),
 * polynomial limit extrapolation for ratios sampled on x -> 0.
 
 Both integrators use one rule pair, the 7-point Gauss rule nested in the
@@ -223,31 +224,6 @@ def _rule_sums(f, los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndar
     return fx[:, 1::2] @ _WG, fx @ _WK
 
 
-def _accept_or_refine(f, los, his, g7_vals, k15_vals, rel_tol, abs_tol, p_first):
-    """Keep the K15 estimate of each segment whose G7 and K15 estimates
-    agree within max(rel_tol * |K15|, abs_tol); integrate the others, and
-    the first segment when ``p_first`` is set, with the adaptive routine.
-    Returns (values, error estimates)."""
-    errs = np.abs(k15_vals - g7_vals)
-    vals = k15_vals.copy()
-    ok = errs <= np.maximum(rel_tol * np.abs(vals), abs_tol)
-    if p_first is not None:
-        ok[0] = False
-    for k in np.nonzero(~ok)[0]:
-        p = p_first if (k == 0 and p_first is not None) else None
-        vals[k], errs[k] = integrate(
-            QuadratureRequest(
-                f,
-                float(los[k]),
-                float(his[k]),
-                rel_tol,
-                max(abs_tol, 1e-300),
-                p,
-            )
-        )
-    return vals, errs
-
-
 def integrate_cells(
     f,
     edges: np.ndarray,
@@ -259,11 +235,11 @@ def integrate_cells(
 
     Runs the G7/K15 Gauss-Kronrod pair on all segments in one batched
     integrand call (15 points per segment); segments whose G7 and K15
-    estimates differ by more than tolerance fall back to the scalar
-    adaptive routine.  ``p_first`` marks an algebraic singularity of ``f``
-    at ``edges[0]`` and routes the first segment through the
-    desingularizing substitution.  ``abs_tol`` is an absolute
-    per-segment threshold.
+    estimates differ by more than max(rel_tol * |K15|, abs_tol) fall back
+    to the scalar adaptive routine.  ``p_first`` marks an algebraic
+    singularity of ``f`` at ``edges[0]`` and routes the first segment
+    through the desingularizing substitution.  Returns (values, error
+    estimates).
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
@@ -272,9 +248,17 @@ def integrate_cells(
     his = edges[1:]
     half = 0.5 * (his - los)
     g7_sums, k15_sums = _rule_sums(f, los, his)
-    return _accept_or_refine(
-        f, los, his, half * g7_sums, half * k15_sums, rel_tol, abs_tol, p_first
-    )
+    vals = half * k15_sums
+    errs = np.abs(vals - half * g7_sums)
+    ok = errs <= np.maximum(rel_tol * np.abs(vals), abs_tol)
+    if p_first is not None:
+        ok[0] = False
+    for k in np.nonzero(~ok)[0]:
+        p = p_first if k == 0 else None
+        vals[k], errs[k] = integrate(
+            QuadratureRequest(f, float(los[k]), float(his[k]), rel_tol, max(abs_tol, 1e-300), p)
+        )
+    return vals, errs
 
 
 def extrapolate_limit(samples: Sequence[tuple[float, float]]) -> tuple[float, float]:

@@ -25,6 +25,10 @@ documented on the fields they feed:
   small; those cells are pinned to zero and the sweep starts below them
   (``top_zero_cells``).  A negative diagonal outside such a layer raises
   :class:`DenominatorError`.
+
+``residual`` checks the equation at the midpoint of every cell below the
+top 1%: seen from any midpoint the cells above it form one table of
+integrals, so the kernel part at all N midpoints is one FFT correlation.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 from .backend import back_substitute
 from .errors import DenominatorError, DomainError, NonPositive, TruncationError
 from .model import SubordinatorSpec, positive_moments
-from .numerics import _accept_or_refine, _rule_sums, integrate_cells
+from .numerics import integrate_cells
 from .tails import ZeroTail
 
 _TAIL_MASS_TARGET = 1e-6
@@ -375,25 +379,31 @@ def solve(
     )
 
 
-def residual(spec: SubordinatorSpec, density: StepDensity, n_probes: int = 64) -> float:
-    """Sup over probe points of |(1 - c x) k~(x) - RHS(x)| with the RHS
-    integrals recomputed by fresh quadrature in the y variable.
+def residual_cell_count(grid: GeometricGrid) -> int:
+    """Cells, from the bottom, whose midpoints :func:`residual` checks: all
+    but the top 1%, where a drift's boundary layer may pin heights to 0."""
+    return math.floor(0.99 * grid.n_cells)
 
-    Probes sit at cell midpoints: at the grid nodes the back-substitution
-    enforced the discrete equations exactly, so only off-node points see
-    the discretisation error.  The top 1% of cells is excluded.
 
-    The kernel part of the RHS at probe k, x_p = sqrt(x_k x_{k+1}), is
-    the integral of Pibar(log(y/x_p)) over [x_p, x_{k+1}] times k~ on
-    cell k, plus one integral over each cell [x_j, x_{j+1}] above it.  For
-    any fixed rule, node t of cell j sits at log(y/x_p) = (j-k-1/2) L + s_t,
-    with s_t fixed by the rule point alone, so the rule sums of cell j
-    depend only on the offset m = j - k and the cell's value is its
-    half-width times the offset sum S[m].  One table of S over m =
-    1..N-1, from the lowest probe, serves every probe.  Each probe still
-    runs its own acceptance test on every cell, integrates the cells that
-    fail it adaptively in y, and integrates its first, partial and
-    possibly singular cell on its own.
+def _cell_residuals(spec: SubordinatorSpec, density: StepDensity) -> np.ndarray:
+    """|(1 - c x) k~(x) - RHS(x)| at the geometric midpoint of every cell
+    below the top 1%, with the RHS integrals recomputed by fresh quadrature.
+
+    At the grid nodes the back-substitution enforced the discrete equations
+    exactly, so only off-node points see the discretisation error.  Seen
+    from the midpoint x_p = sqrt(x_k x_{k+1}) of cell k, the grid looks the
+    same for every k:
+
+    * the first, partial cell [x_p, x_{k+1}] is u = log(y/x_p) in
+      [0, L/2], so its kernel integral is x_p * A_0 with
+      A_0 = integral of Pibar(u) e**u over (0, L/2), one scalar;
+    * the integral of Pibar(log(y/x_p)) over cell k+m, m >= 1, is
+      (x_p/x_ref) T[m], where T[m] is the integral over cell m seen from
+      the lowest midpoint x_ref.
+
+    One table T, integrated in y, serves every cell, and the kernel part
+    of the RHS at all N midpoints is one FFT correlation of the heights
+    with T.  The kill part is a suffix sum.
 
     The check stays independent of the solve: it integrates Pibar(log(y/x))
     in y over the grid cells, where the solve integrates Pibar(u) e**u in u
@@ -402,38 +412,31 @@ def residual(spec: SubordinatorSpec, density: StepDensity, n_probes: int = 64) -
     grid = density.grid
     n = grid.n_cells
     nodes = grid.nodes
-    top = max(1, int(math.floor(0.99 * n)))
-    idx = np.unique(np.linspace(0, top - 1, min(n_probes, top)).astype(int))
-    p = spec.tail.kernel_singularity()
-    zero_tail = isinstance(spec.tail, ZeroTail)
-    if not zero_tail:
-        # rule sums of cells 1..N-1 seen from probe 0 = offset sums S[1..N-1]
-        half = 0.5 * (nodes[2:] - nodes[1:-1])
-        x_ref = float(math.sqrt(nodes[0] * nodes[1]))
-        g7_sums, k15_sums = _rule_sums(
-            lambda y: spec.tail.tail_many(np.log(y / x_ref)), nodes[1:-1], nodes[2:]
+    h = density.heights
+    x_p = np.sqrt(nodes[:-1] * nodes[1:])
+    lhs = (1.0 - spec.drift * x_p) * h
+    rhs = spec.kill * (h * (nodes[1:] - x_p) + density._suffix_mass[1:])
+    if not isinstance(spec.tail, ZeroTail):
+        tail = spec.tail.tail_many
+        (a0,), _ = integrate_cells(
+            lambda u: tail(u) * np.exp(u),
+            [0.0, 0.5 * grid.log_step],
+            1e-8,
+            1e-14,
+            p_first=spec.tail.kernel_singularity(),
         )
-    worst = 0.0
-    for k in idx:
-        x_p = float(math.sqrt(nodes[k] * nodes[k + 1]))
-        lhs = (1.0 - spec.drift * x_p) * density.heights[k]
+        x_ref = x_p[0]
+        table, _ = integrate_cells(lambda y: tail(np.log(y / x_ref)), nodes[1:], 1e-8, 1e-14)
+        # corr[k] = sum over m >= 1 of T[m] h[k+m]; zero-padding to 2N
+        # keeps the circular correlation from wrapping
+        t_hat = np.fft.rfft(np.concatenate([[0.0], table]), 2 * n)
+        corr = np.fft.irfft(np.fft.rfft(h, 2 * n) * np.conj(t_hat), 2 * n)[:n]
+        rhs = rhs + x_p * (a0 * h + corr / x_ref)
+    return np.abs(lhs - rhs)[: residual_cell_count(grid)]
 
-        def g(y):
-            return spec.tail.tail_many(np.log(y / x_p))
 
-        if zero_tail:
-            kernel_part = 0.0
-        else:
-            first, _ = integrate_cells(g, [x_p, nodes[k + 1]], 1e-8, 1e-14, p_first=p)
-            # cells k+1..N-1 sit at offsets 1..N-1-k
-            h = half[k:]
-            rest, _ = _accept_or_refine(
-                g, nodes[k + 1 : -1], nodes[k + 2 :],
-                h * g7_sums[: h.size], h * k15_sums[: h.size], 1e-8, 1e-14, None,
-            )
-            vals = np.concatenate([first, rest])
-            kernel_part = float(np.dot(vals, density.heights[k:]))
-        partial = density.heights[k] * (nodes[k + 1] - x_p)
-        rhs = kernel_part + spec.kill * (partial + float(density._suffix_mass[k + 1]))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+def residual(spec: SubordinatorSpec, density: StepDensity) -> float:
+    """Sup of |(1 - c x) k~(x) - RHS(x)| over the midpoints of every cell
+    below the top 1%: one table of cell integrals, one FFT correlation of
+    the heights with it (:func:`_cell_residuals`)."""
+    return float(np.max(_cell_residuals(spec, density)))

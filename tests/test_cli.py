@@ -213,13 +213,15 @@ def test_help_exits_0(capsys):
     assert "--mc-samples" in captured.out and captured.err == ""
 
 
-UNREAD_BY_GRID_COMMANDS = (("--seed", "1"), ("--mc-samples", "1000"), ("--cutoff", "0.1"))
+UNREAD_BY_GRID_COMMANDS = (
+    ("--seed", "1"), ("--mc-samples", "1000"), ("--cutoff", "0.1"), ("--probes", "16")
+)
 UNREAD_FLAGS = (
     [(cmd, flag) for cmd in ("solve", "validate", "transform") for flag in UNREAD_BY_GRID_COMMANDS]
     + [
         ("moments", flag)
         for flag in (("--delta", "0.99"), ("--cells", "9000"), ("--xmax", "2.0"),
-                     ("--plot",), ("--probes", "16")) + UNREAD_BY_GRID_COMMANDS
+                     ("--plot",)) + UNREAD_BY_GRID_COMMANDS
     ]
     + [("mc", ("--plot",)), ("mc", ("--probes", "16"))]
 )
@@ -237,6 +239,17 @@ def test_command_rejects_flags_it_does_not_read(tmp_path, capsys, command, flag)
     err = one_json_line(capsys.readouterr().err)
     assert err["error"] == "SpecFileError"
     assert flag[0] in err["message"]
+    assert not out.exists()
+
+
+def test_abbreviated_flags_are_rejected(tmp_path, capsys):
+    # with prefix matching, --mc and --se would read as --mc-samples and --seed
+    spec = write_spec(tmp_path, GAMMA_SPEC)
+    out = tmp_path / "mc"
+    rc = main(["mc", "--spec", str(spec), "--out", str(out), "--mc", "500", "--se", "3"])
+    assert rc == 2
+    err = one_json_line(capsys.readouterr().err)
+    assert err["error"] == "SpecFileError" and "--mc" in err["message"]
     assert not out.exists()
 
 

@@ -12,7 +12,14 @@ from expfun.backend import back_substitute
 from expfun.errors import DenominatorError, DomainError, NonPositive, TruncationError
 from expfun.model import SubordinatorSpec, load_spec, positive_moments
 from expfun.numerics import integrate_cells
-from expfun.solver import GeometricGrid, build_grid, kernel_weights, residual, solve
+from expfun.solver import (
+    GeometricGrid,
+    KernelWeights,
+    build_grid,
+    kernel_weights,
+    residual,
+    solve,
+)
 from expfun.tails import (
     CompoundPoissonExpTail,
     GammaExpTail,
@@ -252,6 +259,8 @@ def test_solve_rescales_heights_that_would_overflow():
     moments = positive_moments(spec, 3)
     for n in (1, 2, 3):
         assert d.moment_of(n) == pytest.approx(moments.value(n), rel=2e-3)
+    # the residual's singular first cell must not round onto Pibar(0) = inf
+    assert np.isfinite(residual(spec, d))
 
 
 def test_solve_rejects_non_finite_heights(monkeypatch):
@@ -402,22 +411,20 @@ def test_residual_uniform(uniform_density):
 def test_residual_decreases_under_refinement():
     coarse = solve(GAMMA, build_grid(GAMMA, 0.99, 800))
     fine = solve(GAMMA, build_grid(GAMMA, math.sqrt(0.99), 1600))
-    r1 = residual(GAMMA, coarse, n_probes=32)
-    r2 = residual(GAMMA, fine, n_probes=32)
+    r1 = residual(GAMMA, coarse)
+    r2 = residual(GAMMA, fine)
     assert r1 / r2 >= 1.5
 
 
-def reference_residual(spec, density, n_probes=64):
-    """The residual by one full integrate_cells call per probe, over the
-    probe's partial cell and every cell above it."""
-    grid = density.grid
-    n = grid.n_cells
-    top = max(1, int(math.floor(0.99 * n)))
-    idx = np.unique(np.linspace(0, top - 1, min(n_probes, top)).astype(int))
+def reference_residuals(spec, density, cells):
+    """The residual at the midpoint of each given cell by one full
+    integrate_cells call in y over the cell's partial cell and every cell
+    above it."""
+    nodes = density.grid.nodes
     p = spec.tail.kernel_singularity()
-    worst = 0.0
-    for k in idx:
-        x_p = float(math.sqrt(grid.nodes[k] * grid.nodes[k + 1]))
+    out = []
+    for k in cells:
+        x_p = float(math.sqrt(nodes[k] * nodes[k + 1]))
         lhs = (1.0 - spec.drift * x_p) * density.heights[k]
 
         def g(y):
@@ -426,13 +433,13 @@ def reference_residual(spec, density, n_probes=64):
         if isinstance(spec.tail, ZeroTail):
             kernel_part = 0.0
         else:
-            edges = np.concatenate([[x_p], grid.nodes[k + 1 :]])
+            edges = np.concatenate([[x_p], nodes[k + 1 :]])
             vals, _ = integrate_cells(g, edges, 1e-8, 1e-14, p_first=p)
             kernel_part = float(np.dot(vals, density.heights[k:]))
-        partial = density.heights[k] * (grid.nodes[k + 1] - x_p)
+        partial = density.heights[k] * (nodes[k + 1] - x_p)
         rhs = kernel_part + spec.kill * (partial + float(density._suffix_mass[k + 1]))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        out.append(abs(lhs - rhs))
+    return np.array(out)
 
 
 # log-linear interpolation between knots: the slope of log Pibar jumps at
@@ -458,7 +465,12 @@ KINKED = TabulatedTail(
 )
 def test_residual_matches_per_probe_reference(spec, delta):
     d = solve(spec, build_grid(spec, delta, 800))
-    assert residual(spec, d) == pytest.approx(reference_residual(spec, d), rel=1e-10, abs=0.0)
+    by_cell = solver_module._cell_residuals(spec, d)
+    sup = residual(spec, d)
+    assert by_cell.size == solver_module.residual_cell_count(d.grid) == 792
+    assert sup == by_cell.max()
+    cells = np.union1d(np.arange(0, by_cell.size, 16), [by_cell.argmax()])
+    assert np.abs(by_cell[cells] - reference_residuals(spec, d, cells)).max() <= 1e-6 * sup
 
 
 def test_residual_falls_back_on_kinked_cells(monkeypatch):
@@ -473,8 +485,40 @@ def test_residual_falls_back_on_kinked_cells(monkeypatch):
 
     monkeypatch.setattr(numerics, "integrate", counting)
     residual(spec, d)
-    # a probe's own first cell starts at its midpoint x_p, not at a node
+    # the table's cells are grid cells, so a fallback starts at a node
     assert np.isin(los, d.grid.nodes).sum() > 0
+
+
+# survey specs (benchmarks/survey.py, indices 32, 103 and 218) that solve
+# at 8x the default cells, where a singular first cell mapped in y from
+# x_p rounds back onto Pibar(0) = inf
+SINGULAR_FIRST_CELL = [
+    SubordinatorSpec(0.0, 0.0, StableTail(0.6931566829892775)),
+    SubordinatorSpec(
+        0.0, 1.3450766206595859,
+        GammaExpTail(0.31773670101798945, 3.098349883203764, 2.1441592949181483),
+    ),
+    SubordinatorSpec(0.0, 0.0, LampertiKilledTail(0.6417903820257251, 3.682111646264144)),
+]
+
+
+@pytest.mark.parametrize("spec", SINGULAR_FIRST_CELL, ids=["stable", "gamma_exp", "lamperti"])
+def test_residual_is_finite_where_the_first_cell_is_singular(spec):
+    d = solve(spec, build_grid(spec, 0.998 ** (1 / 8), 36000))
+    assert np.isfinite(residual(spec, d))
+
+
+@pytest.mark.parametrize("name", ["stable_with_drift", "lamperti_killed"])
+def test_residual_flags_a_wrong_weight(name):
+    # the residual never reads W_m, so a solve from a wrong W_1 must show;
+    # a weight error below about 1e-3 hides under the discretisation error
+    spec = load_spec(RECIPES / f"{name}.json")
+    grid = build_grid(spec, 0.998, 4500)
+    w = kernel_weights(spec, grid)
+    values = w.values.copy()
+    values[1] *= 1.1
+    wrong = solve(spec, grid, KernelWeights(values, w.error_estimates))
+    assert residual(spec, wrong) >= 1.25 * residual(spec, solve(spec, grid, w))
 
 
 def test_l1_refinement_consistency():
