@@ -4,12 +4,14 @@ For every recipe and N = 4500 * 2**k (k = 0..3) over the default grid's
 log-span, it times ``expfun.backend.back_substitute`` and the O(N^2) loop
 it replaced (median of ``--repeats`` alternating calls), and records the
 largest relative difference over the positive heights and the number of
-rows the accuracy guard summed directly.  Given the result files of
+rows the accuracy guard summed directly.  Given an earlier entry
+(``--against``), each row also carries that entry's sweep time and guard
+count at the same recipe and N.  Given the result files of
 ``perfbench/run.py`` for a parent and a changed tree, it adds the medians
 of their end-to-end metrics.
 
     python benchmarks/bench_sweep.py --out BENCH.json \\
-        [--perfbench PARENT_DIR CHANGE_DIR]
+        [--against BENCH_9.json] [--perfbench PARENT_DIR CHANGE_DIR]
 
 The perfbench directories hold ``<workload>-*.json`` result files, one
 per run; untraced runs are paired by their order in the sorted file
@@ -100,6 +102,16 @@ def sweep_table(repeats: int) -> dict:
     return table
 
 
+def add_against(table: dict, earlier: dict) -> None:
+    """Copy the earlier entry's sweep time and guard count into each row."""
+    for recipe, rows in table.items():
+        before = {r["cells"]: r for r in earlier["sweep"].get(recipe, [])}
+        for row in rows:
+            if row["cells"] in before:
+                row["against_relaxed_s"] = before[row["cells"]]["relaxed_s"]
+                row["against_guard_rows"] = before[row["cells"]]["guard_rows"]
+
+
 def perfbench_summary(parent: Path, change: Path, stages=STAGES) -> dict:
     """Medians of the end-to-end metrics per workload, and the ``stages``
     of one traced run per side."""
@@ -137,15 +149,23 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--against", type=Path, metavar="BENCH_JSON")
     p.add_argument("--perfbench", nargs=2, type=Path, metavar=("PARENT_DIR", "CHANGE_DIR"))
     args = p.parse_args(argv)
     entry = {
         "machine": {
             **machine_info(ef, parallel.worker_count()),
-            "sweep": f"relaxed FFT, {_kernels_py._LEAF}-row leaves, guard {_kernels_py._GUARD_RTOL:g}",
+            "sweep": (
+                f"relaxed FFT, {_kernels_py._LEAF}-row leaves solved by dtrsv, "
+                f"guard {_kernels_py._GUARD_RTOL:g}"
+            ),
         },
         "sweep": sweep_table(args.repeats),
     }
+    if args.against:
+        earlier = json.loads(args.against.read_text())
+        entry["against"] = {"file": args.against.name, "sweep": earlier["machine"]["sweep"]}
+        add_against(entry["sweep"], earlier)
     if args.perfbench:
         entry["perfbench"] = perfbench_summary(*args.perfbench)
     args.out.write_text(json.dumps(entry, indent=1) + "\n")

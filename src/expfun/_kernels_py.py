@@ -8,7 +8,7 @@ In the reversed index r = start - n the kernel part is a causal
 convolution of the heights with the weights.  The sweep solves it by the
 relaxed (online) convolution of Hairer, Lubich & Schlichte (SIAM J. Sci.
 Stat. Comput. 6, 1985): the rows are cut into leaves of ``_LEAF`` rows,
-each leaf is one small lower-triangular solve, and a finished block of
+each leaf is one BLAS triangular solve (``dtrsv``), and a finished block of
 2**k leaves hands its contribution to the next 2**k leaves in one FFT
 convolution.  O(N log^2 N) operations in all, against O(N^2)
 multiply-adds for the row-by-row loop.  A row whose far-field sum the FFT
@@ -19,39 +19,43 @@ directly instead (``_GUARD_RTOL``).
 import math
 
 import numpy as np
+from scipy.linalg.blas import dtrsv
 
 # Rows per leaf.  Median of 7 alternating calls of the whole sweep on a
-# 2-core Xeon (numpy 2.4.6) for powered_gamma_a1, stretched_exp_n1 and
-# stable_with_drift: at N = 36000, 32 rows 84/88/83 ms, 64 rows 70/71/73 ms,
-# 128 rows 106/102/110 ms, 256 rows 173/195/175 ms; at N = 4500, 64 rows is
-# again the fastest (5-10 ms).  Below 64 the Python work per leaf dominates,
-# above it the O(leaf^3) dense leaf solve.
-_LEAF = 64
+# 2-core Xeon (numpy 2.4.6, scipy 1.17.1) for powered_gamma_a1,
+# stretched_exp_n1 and stable_with_drift: at N = 36000, 32 rows 81/79/90 ms,
+# 64 rows 48/42/53 ms, 128 rows 34/38/38 ms, 256 rows 37/40/46 ms; at
+# N = 4500, 32 rows 10/11/10 ms, 64 rows 5.9/6.9/5.9 ms, 128 rows
+# 5.0/5.5/5.0 ms, 256 rows 6.8/6.2/5.6 ms.  Below 128 the fixed Python and
+# FFT cost of each leaf dominates, above it the near field, which costs
+# O(leaf) per row to build and to solve.
+_LEAF = 128
 
 # A row whose far-field sum may carry FFT rounding above this fraction of
 # its diagonal term is summed directly instead.  At 1e-11 no refine recipe
 # (powered_gamma_a1/a_half, lamperti_killed, stable_with_drift,
 # stretched_exp_n1) recomputes a row at N = 4500..36000, stretched_exp_n2
 # and n3 recompute 22% and 32% of theirs, and all eight recipes stay within
-# 1.8e-13 of the row-by-row loop.  At 1e-12 stable_with_drift recomputes
+# 2.5e-13 of the row-by-row loop.  At 1e-12 stable_with_drift recomputes
 # 3577 rows at N = 36000 while its largest difference from the loop only
-# moves from 4.2e-14 to 2.4e-14.
+# moves from 3.5e-14 to 2.4e-14.
 _GUARD_RTOL = 1e-11
 
 # c eps in the rounding bound c eps log2(P) |z_block| |W_seg| of one
 # length-P FFT convolution (2-norms).  Over every convolution of all eight
 # recipes at N = 4500..18000 the largest error is 0.385 of the bound with
 # c = 1; c = 4 keeps a factor 10.  With c = 1 the stretched_exp_n2/n3
-# heights near x -> 0 differ from the loop by up to 7.8e-13, with c = 4 by
-# 1.8e-13.
+# heights near x -> 0 differ from the loop by up to 9.7e-13, with c = 4 by
+# 2.5e-13.
 _FFT_ERR = 4.0 * np.finfo(float).eps
 
 # Finished heights above this are rescaled by a power of two.  The guard
 # squares a block of up to N/2 heights, which for N < 2**18 overflows once
 # they pass 2**503; the bound leaves 2**203 for the growth within the next leaf.
-# The largest growth of one leaf's peak over all earlier heights is 2**38.3
+# The largest growth of one leaf's peak over all earlier heights is 2**71.6
 # on the repro of ``test_solve_rescales_heights_that_would_overflow``
-# (N = 72000), and no recipe reaches the bound at N = 4500..36000, so their
+# (N = 72000), well inside that margin; it grows with the leaf (2**38.2 at
+# 64 rows).  No recipe reaches the bound at N = 4500..36000, so their
 # heights do not change.
 _RESCALE_ABOVE = 2.0**300
 
@@ -105,14 +109,16 @@ def relaxed_sweep(nodes, widths, weights, denoms, q, start):
         if q:
             mat += neg_q[:m, :m] * w[a:b]
         mat.flat[:: m + 1] = d[a:b]
-        zb = np.linalg.solve(mat, x[a:b] * far[a:b] + q * prefix)
+        # mat.T is Fortran-ordered and upper triangular, so f2py passes it
+        # without a copy and trans=1 solves mat zb = rhs
+        zb = dtrsv(mat.T, x[a:b] * far[a:b] + q * prefix, lower=0, trans=1)
         bad = np.nonzero(x[a:b] * err[a:b] > _GUARD_RTOL * d[a:b] * np.abs(zb))[0]
         if bad.size:
             recent = z[a - 1 :: -1]  # contiguous in y, for a fast dot
             for r in a + bad:
                 far[r] = np.dot(weights[r - a + 1 : r + 1], recent)
             recomputed += bad.size
-            zb = np.linalg.solve(mat, x[a:b] * far[a:b] + q * prefix)
+            zb = dtrsv(mat.T, x[a:b] * far[a:b] + q * prefix, lower=0, trans=1)
         z[a:b] = zb
         prefix += np.dot(w[a:b], zb)
         peak = np.max(np.abs(zb))

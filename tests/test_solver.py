@@ -25,6 +25,7 @@ from expfun.tails import (
     GammaExpTail,
     LampertiKilledTail,
     StableTail,
+    StretchedExpTail,
     TabulatedTail,
     ZeroTail,
 )
@@ -217,7 +218,14 @@ def test_sweep_guard_near_the_origin():
     assert_sweep_matches_reference(sweep_inputs(spec, grid))
 
 
-@pytest.mark.parametrize("rows", [_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 1, 4 * _LEAF + 3])
+# the boundaries of the sweep's leaves and of 64-row ones, which for a
+# longer leaf fall inside the first leaves
+LEAF_BOUNDARY_ROWS = sorted(
+    {n * leaf + k for leaf in (64, _LEAF) for n, k in ((1, -1), (1, 0), (1, 1), (2, 1), (4, 3))}
+)
+
+
+@pytest.mark.parametrize("rows", LEAF_BOUNDARY_ROWS)
 @pytest.mark.parametrize("layer", [0, 5])
 @pytest.mark.parametrize("kill", [0.0, 0.5])
 def test_sweep_matches_loop_at_leaf_boundaries(rows, layer, kill):
@@ -245,6 +253,39 @@ def test_sweep_matches_dense_solve(layer):
     assert np.all(y[start + 1 :] == 0.0)
     ref = dense_sweep_reference(nodes, widths, weights, denoms, spec.kill, start)
     assert np.allclose(y, ref, rtol=1e-12, atol=0.0)
+
+
+# survey specs (benchmarks/survey.py, indices 0, 6, 7, 14, 17, 25, 36 and
+# 66) that solve on the survey's grid: all five families, drift and kill
+# rate each with and without the other, and two that the guard re-sums
+SURVEY_SWEEPS = [
+    SubordinatorSpec(0.0, 0.0, StretchedExpTail(0.5625947561513536, 2)),
+    SubordinatorSpec(
+        0.6894595635620157, 0.0, LampertiKilledTail(0.17158685452017008, 3.7818136720886377)
+    ),
+    SubordinatorSpec(
+        0.71155184304429, 0.7089268897389099,
+        GammaExpTail(0.8950134426315502, 3.697143990500299, 1.8531964638744443),
+    ),
+    SubordinatorSpec(
+        1.045103121426476, 1.5822821163919245,
+        CompoundPoissonExpTail(4.74982400719505, 2.4082166686836612),
+    ),
+    SubordinatorSpec(
+        1.7908775558689891, 0.9859764514252728, StretchedExpTail(0.332651623241746, 3)
+    ),
+    SubordinatorSpec(0.8892296710053268, 0.06941139357421931, StableTail(0.08876019971138376)),
+    SubordinatorSpec(0.0, 0.39559214392558467, StretchedExpTail(0.18730400450676588, 3)),
+    SubordinatorSpec(0.0, 1.3052242860566052, StableTail(0.40519381736386395)),
+]
+
+
+@pytest.mark.parametrize("spec", SURVEY_SWEEPS, ids=[0, 6, 7, 14, 17, 25, 36, 66])
+def test_sweep_matches_loop_on_survey_specs(spec):
+    args = sweep_inputs(spec, build_grid(spec, 0.998, 4500))
+    # the last leaf is a partial one
+    assert (args[-1] + 1) % _LEAF != 0
+    assert_sweep_matches_reference(args)
 
 
 def test_solve_rescales_heights_that_would_overflow():
