@@ -11,6 +11,16 @@ the integrand decays (or grows, in increasing mode) exponentially, so
 each inter-jump segment contributes a closed-form increment and no time
 discretisation is ever introduced.
 
+One round builder, ``_build_round``, draws a round's jump counts, times
+and sizes flat over all paths and returns each segment's path, starting
+level and increment, plus each path's final level.  :func:`simulate` sums
+the increments per path; :func:`lamperti_density_estimate` runs the round
+that ``simulate`` runs for q > 0 and inverts the running sum, its clock.
+When the estimator moved onto this builder its values at a fixed seed
+moved once, because its jump times and sizes are now drawn flat rather
+than as padded per-path rows; its exponential horizons e_q and its jump
+counts are drawn as before.
+
 All randomness is drawn from counter-based Philox streams keyed by
 (seed, round index), with per-path rows in fixed order, so results are
 bit-for-bit reproducible.
@@ -92,44 +102,42 @@ def default_cutoff(spec: SubordinatorSpec, target_events: float = 64.0) -> float
     return min(eps, _cutoff_scale(spec) / 10.0)
 
 
-def _segment_increments(zeta_start, duration, c_eff, increasing):
-    if increasing:
-        if c_eff > 0:
-            return np.exp(zeta_start) * np.expm1(c_eff * duration) / c_eff
-        return np.exp(zeta_start) * duration
-    if c_eff > 0:
-        return np.exp(-zeta_start) * -np.expm1(-c_eff * duration) / c_eff
-    return np.exp(-zeta_start) * duration
+class _Round(NamedTuple):
+    """One round of paths as flat per-segment arrays, path after path and
+    in time order within each path."""
+
+    seg_path: np.ndarray  # the path of each segment
+    zeta_start: np.ndarray  # the level at the segment's start
+    incr: np.ndarray  # the segment's closed-form increment of I
+    zeta_end: np.ndarray  # each path's level at its horizon
 
 
-def _accumulate_round(rng, spec, horizons, zeta0, rate, eps, c_eff, increasing):
-    """One simulation round over all given paths; returns (I increments,
-    zeta at the end of the horizon)."""
+def _build_round(rng, spec, horizons, zeta0, rate, eps, c_eff, increasing) -> _Round:
+    """Draw one round of paths from level ``zeta0`` up to ``horizons``:
+    the jump counts, then the times, then the sizes, each flat over all
+    paths, and cut each path into its inter-jump segments."""
     n = horizons.shape[0]
-    if rate > 0:
-        counts = rng.poisson(rate * horizons)
-    else:
-        counts = np.zeros(n, dtype=np.int64)
+    counts = rng.poisson(rate * horizons) if rate > 0 else np.zeros(n, dtype=np.int64)
     total = int(counts.sum())
+    path_ids = np.repeat(np.arange(n), counts)
+    times = sizes = np.zeros(0)
     if total > 0:
-        path_ids = np.repeat(np.arange(n), counts)
         times = rng.random(total) * horizons[path_ids]
         order = np.lexsort((times, path_ids))
         times = times[order]
         sizes = spec.tail.sample_restricted(eps, rng, total)[order]
         if not increasing:
-            # exp(-zeta) is exactly 0.0 in float64 long before a single
-            # jump reaches 120, so clipping is lossless here; it keeps the
-            # cross-path cumulative sum well-conditioned when heavy-tailed
-            # jumps (stable sizes reach 1e20) would otherwise erase the
-            # per-path offsets by cancellation
+            # past a jump of 120, exp(-zeta) <= e^-120, so every later
+            # increment of I is at most e^-120 times its duration: the
+            # path's I (the estimator's clock) is already frozen to within
+            # e^-120 * horizon, and the clip changes only those increments
+            # and the levels a probe could read inside that window.  It
+            # keeps the cross-path cumulative sum below well-conditioned
+            # when heavy-tailed jumps (stable sizes reach 1e20) would
+            # otherwise erase the per-path offsets by cancellation
             sizes = np.minimum(sizes, 120.0)
-    else:
-        path_ids = np.zeros(0, dtype=np.int64)
-        times = np.zeros(0)
-        sizes = np.zeros(0)
 
-    # flat segment arrays: each path contributes counts+1 segments
+    # each path contributes counts+1 segments
     n_seg = counts + 1
     offsets = np.concatenate([[0], np.cumsum(n_seg)])
     m = int(offsets[-1])
@@ -137,27 +145,26 @@ def _accumulate_round(rng, spec, horizons, zeta0, rate, eps, c_eff, increasing):
     t_start = np.zeros(m)
     t_end = np.empty(m)
     jump_cum = np.zeros(m)
-    if total > 0:
-        starts = np.cumsum(counts) - counts
-        within = np.arange(total) - np.repeat(starts, counts)
-        pos = offsets[path_ids] + within + 1
-        t_start[pos] = times
-        t_end[pos - 1] = times
-        cum = np.cumsum(sizes)
-        nz = counts > 0  # trailing zero-count paths would index past cum
-        first = starts[nz]
-        base = np.repeat(cum[first] - sizes[first], counts[nz])
-        jump_cum[pos] = cum - base
+    starts = np.cumsum(counts) - counts
+    pos = offsets[path_ids] + np.arange(total) - np.repeat(starts, counts) + 1
+    t_start[pos] = times
+    t_end[pos - 1] = times
     t_end[offsets[1:] - 1] = horizons
+    cum = np.cumsum(sizes)
+    nz = counts > 0  # trailing zero-count paths would index past cum
+    first = starts[nz]
+    jump_cum[pos] = cum - np.repeat(cum[first] - sizes[first], counts[nz])
     zeta_start = zeta0[seg_path] + c_eff * t_start + jump_cum
-    incr = _segment_increments(zeta_start, t_end - t_start, c_eff, increasing)
-    acc = np.bincount(seg_path, weights=incr, minlength=n)
-    if total > 0:
-        jumps_total = np.bincount(path_ids, weights=sizes, minlength=n)
+    # the closed-form integral of exp(sign * zeta) along one segment
+    sign = 1.0 if increasing else -1.0
+    incr = np.exp(sign * zeta_start)
+    if c_eff > 0:
+        incr *= sign * np.expm1(sign * c_eff * (t_end - t_start))
+        incr /= c_eff
     else:
-        jumps_total = np.zeros(n)
-    zeta_end = zeta0 + c_eff * horizons + jumps_total
-    return acc, zeta_end
+        incr *= t_end - t_start
+    jumps_total = np.bincount(path_ids, weights=sizes, minlength=n)
+    return _Round(seg_path, zeta_start, incr, zeta0 + c_eff * horizons + jumps_total)
 
 
 def simulate(
@@ -208,9 +215,10 @@ def simulate(
             )
         rng = _round_rng(seed, 0)
         horizons = rng.exponential(horizon_mean, n_samples)
-        values, _ = _accumulate_round(
+        r = _build_round(
             rng, spec, horizons, np.zeros(n_samples), rate, eps, c_eff, increasing
         )
+        values = np.bincount(r.seg_path, weights=r.incr, minlength=n_samples)
         return SampleSet(
             spec, n_samples, seed, eps, values, time.monotonic() - t0, increasing
         )
@@ -227,11 +235,9 @@ def simulate(
     for round_idx in range(_MAX_ROUNDS):
         rng = _round_rng(seed, round_idx)
         horizons = np.full(alive.size, t_round)
-        acc, zeta_end = _accumulate_round(
-            rng, spec, horizons, zeta[alive], rate, eps, c_eff, False
-        )
-        values[alive] += acc
-        zeta[alive] = zeta_end
+        r = _build_round(rng, spec, horizons, zeta[alive], rate, eps, c_eff, False)
+        values[alive] += np.bincount(r.seg_path, weights=r.incr, minlength=alive.size)
+        zeta[alive] = r.zeta_end
         remaining = np.exp(-zeta[alive]) / phi1
         keep = remaining > _TAIL_STOP_REL * values[alive]
         alive = alive[keep]
@@ -306,7 +312,18 @@ def lamperti_density_estimate(
     Exact paths only: requires q > 0 and a finite-activity tail, so the
     piecewise-exponential clock can be inverted segment by segment in
     closed form.  Returns (t, estimate, standard error) triples.
+
+    Each block of ``_LAMPERTI_BLOCK`` paths is one call of the round
+    builder ``_build_round``, the round :func:`simulate` runs for q > 0
+    (horizons e_q, cutoff 0); the clock is the running sum of its segment
+    increments.  So up to one block, the paths are those of
+    ``simulate(spec, n_samples, seed)``.  When the estimator moved onto the
+    shared builder its values at a fixed seed moved once, because the jump
+    times and sizes are now drawn flat over the block rather than as one
+    padded row per path; e_q and the jump counts are unchanged.
     """
+    if n_samples < 1:
+        raise DomainError("need at least one sample")
     if spec.kill <= 0:
         raise DomainError("the clock-inversion estimator needs q > 0")
     total = spec.tail.total_mass()
@@ -328,58 +345,35 @@ def lamperti_density_estimate(
         n = min(_LAMPERTI_BLOCK, n_samples - done)
         rng = _round_rng(seed, block_idx)
         e_q = rng.exponential(1.0 / q, n)
-        counts = rng.poisson(total * e_q) if total > 0 else np.zeros(n, dtype=np.int64)
-        kmax = int(counts.max()) if n > 0 else 0
-        if kmax > 0:
-            mask = np.arange(kmax)[None, :] < counts[:, None]
-            u_times = rng.random((n, kmax))
-            # pads must sort past every real draw, then land on the horizon
-            u_times = np.where(mask, u_times, 2.0)
-            times = np.sort(u_times, axis=1) * e_q[:, None]
-            times = np.where(mask, times, e_q[:, None])
-            sizes = spec.tail.sample_restricted(0.0, rng, (n, kmax))
-            sizes = np.where(mask, sizes, 0.0)
-        else:
-            times = np.zeros((n, 0))
-            sizes = np.zeros((n, 0))
-        # segment boundaries 0 = t_0 <= ... <= t_kmax <= t_{kmax+1} = e_q;
-        # zeta_at[:, j] is the level at the start of segment j
-        t_bounds = np.concatenate([np.zeros((n, 1)), times, e_q[:, None]], axis=1)
-        jump_cum = np.concatenate(
-            [np.zeros((n, 1)), np.cumsum(sizes, axis=1)], axis=1
-        )
-        zeta_at = c * t_bounds[:, :-1] + jump_cum
-        dur = np.diff(t_bounds, axis=1)
-        if c > 0:
-            d_clock = np.exp(-zeta_at) * -np.expm1(-c * dur) / c
-        else:
-            d_clock = np.exp(-zeta_at) * dur
-        clock = np.concatenate([np.zeros((n, 1)), np.cumsum(d_clock, axis=1)], axis=1)
-        i_total = clock[:, -1]
+        # the round simulate runs for q > 0, at cutoff 0
+        r = _build_round(rng, spec, e_q, np.zeros(n), total, 0.0, c, False)
+        i_total = np.bincount(r.seg_path, weights=r.incr, minlength=n)
+        # the clock at each segment's start, summed path by path one
+        # segment rank at a time, so no path's clock carries the rounding
+        # of the paths before it
+        n_seg = np.bincount(r.seg_path, minlength=n)
+        first = np.cumsum(n_seg) - n_seg
+        clock = np.zeros(r.incr.size)
+        live = np.arange(n)
+        for k in range(1, int(n_seg.max())):
+            live = live[n_seg[live] > k]
+            seg = first[live] + k
+            clock[seg] = clock[seg - 1] + r.incr[seg - 1]
         for j, t in enumerate(probes):
-            seg = np.sum(clock <= t, axis=1) - 1
+            # the last segment of each path whose clock starts at or below t
+            seg = first + np.add.reduceat(clock <= t, first) - 1
             hit = t < i_total
-            seg = np.clip(seg, 0, clock.shape[1] - 2)
-            rows = np.arange(n)
-            zeta_j = np.where(hit, zeta_at[rows, seg], 0.0)
-            a_j = clock[rows, seg]
+            val = np.exp(np.where(hit, r.zeta_start[seg], 0.0))
             if c > 0:
-                denom = 1.0 - c * np.exp(zeta_j) * (t - a_j)
-                val = np.exp(zeta_j) / np.maximum(denom, 1e-300)
-            else:
-                val = np.exp(zeta_j)
+                val = val / np.maximum(1.0 - c * val * (t - clock[seg]), 1e-300)
             val = np.where(hit, val, 0.0)
             sums[j] += val.sum()
             sq_sums[j] += np.dot(val, val)
         done += n
         block_idx += 1
-    out = []
-    m = float(n_samples)
-    for j, t in enumerate(probes):
-        mean = sums[j] / m
-        var = max(sq_sums[j] / m - mean * mean, 0.0)
-        out.append((float(t), q * mean, q * math.sqrt(var / m)))
-    return out
+    mean = sums / n_samples
+    se = np.sqrt(np.maximum(sq_sums / n_samples - mean * mean, 0.0) / n_samples)
+    return [(float(t), q * float(a), q * float(b)) for t, a, b in zip(probes, mean, se)]
 
 
 def _weighted_limit_fit(x, y, se):
@@ -432,6 +426,9 @@ def monotone_histogram_check(
     envelope, satisfy discrete midpoint convexity up to the same noise
     bands, and extrapolate to q at the origin.
     """
+    if bins < 3:
+        # the x -> 0 fit reads the bins below the top one and needs two
+        raise DomainError("the histogram check needs at least 3 bins")
     samples = simulate(spec, n_samples, seed, increasing=True)
     v = samples.values
     lo, hi = np.quantile(v, [0.005, 0.995])

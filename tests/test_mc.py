@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from expfun.errors import CutoffError, DomainError
 from expfun.mc import (
+    _LAMPERTI_BLOCK,
     default_cutoff,
     ks_distance,
     lamperti_density_estimate,
@@ -12,7 +14,7 @@ from expfun.mc import (
     sample_moment,
     simulate,
 )
-from expfun.model import SubordinatorSpec, positive_moments
+from expfun.model import SubordinatorSpec, load_spec, positive_moments
 from expfun.reference import (
     killed_drift_law,
     powered_gamma_law,
@@ -28,6 +30,7 @@ from expfun.tails import (
     ZeroTail,
 )
 
+RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 UNIFORM = SubordinatorSpec(1.0, 1.0, ZeroTail())
 GAMMA_CP = SubordinatorSpec(0.0, 0.0, CompoundPoissonExpTail(2.0, 0.5))
 EX3 = SubordinatorSpec(
@@ -142,6 +145,35 @@ def test_cutoff_errors():
         simulate(spec, 0, 0)
 
 
+# simulate(recipe, 64, 2026).values at indices 0, 21, 42 and 63, recorded
+# before the round builder was shared with the clock-inversion estimator
+PINNED_SAMPLES = {
+    "powered_gamma_a_half": [
+        0.6659870879330406, 1.5293208162372616, 0.6212434426283469, 0.9242773819389014
+    ],
+    "stretched_exp_n1": [
+        2.1976674531099314, 2.122394337450524, 3.10024409544006, 0.9561591130324365
+    ],
+    "powered_gamma_a1": [
+        0.7242571042566034, 0.5327800066484978, 0.1807332570995144, 0.43768858075792805
+    ],
+    "stable_with_drift": [
+        0.20741850657305588, 0.0672516802833907, 0.027209093956518163, 0.0848436855348068
+    ],
+    "lamperti_killed": [
+        2.0635531641795404, 1.2645616267964566, 1.8773770395775262, 1.5893517620731878
+    ],
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(PINNED_SAMPLES))
+def test_simulate_stream_is_pinned(recipe):
+    # a moved draw or a reordered jump size changes these at O(1); a change
+    # of rounding alone stays far inside rtol
+    values = simulate(load_spec(RECIPES / f"{recipe}.json"), 64, 2026).values
+    assert np.allclose(values[[0, 21, 42, 63]], PINNED_SAMPLES[recipe], rtol=1e-12, atol=0)
+
+
 def test_increasing_mode_needs_kill():
     with pytest.raises(DomainError):
         simulate(GAMMA_CP, 100, 0, increasing=True)
@@ -182,6 +214,25 @@ def test_lamperti_with_jumps():
         assert abs(est - density.evaluate(t)) <= 3.0 * se + 0.08
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lamperti_estimator_reads_simulate_paths(seed):
+    # at rate 20 the path with the largest functional almost surely jumps,
+    # so the estimator only agrees with simulate if it reads the same jumps
+    spec = SubordinatorSpec(1.0, 1.0, CompoundPoissonExpTail(20.0, 1.0))
+    n = 4000
+    assert n <= _LAMPERTI_BLOCK  # one block: the round simulate runs
+    top = float(np.max(simulate(spec, n, seed).values))
+    above, below = lamperti_density_estimate(spec, [top + 1e-6, top - 1e-6], n, seed)
+    assert above[1] == 0.0
+    assert below[1] > 0.0
+
+
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_lamperti_rejects_too_few_samples(n_samples):
+    with pytest.raises(DomainError):
+        lamperti_density_estimate(UNIFORM, [0.5], n_samples, 0)
+
+
 def test_lamperti_rejects_unsupported_models():
     with pytest.raises(DomainError):
         lamperti_density_estimate(GAMMA_CP, [0.5], 100, 0)  # q = 0
@@ -201,6 +252,13 @@ def test_monotone_histogram_compound_poisson():
     spec = SubordinatorSpec(0.0, 1.0, CompoundPoissonExpTail(2.0, 0.5))
     rep = monotone_histogram_check(spec, 50000, 21, bins=40)
     assert rep.passed, rep.details
+
+
+@pytest.mark.parametrize("bins", [0, 1, 2])
+def test_monotone_histogram_rejects_too_few_bins(bins):
+    # the x -> 0 fit needs at least two bins below the top one
+    with pytest.raises(DomainError):
+        monotone_histogram_check(UNIFORM, 1000, 9, bins=bins)
 
 
 def test_sample_csv_round_trip(tmp_path, uniform_samples):
