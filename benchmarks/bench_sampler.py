@@ -18,7 +18,7 @@ count and seed, then replays those calls (same cutoff and sizes, median of
 Each sampler's draws of one replay are pooled for a one-sample KS test
 against the restricted law 1 - Pibar(max(z, eps))/Pibar(eps).  Given the
 result files of ``perfbench/run.py`` for a parent and a changed tree, the
-entry adds the medians of their end-to-end metrics (see ``bench_sweep.py``).
+entry adds the medians of their end-to-end metrics (see ``perfbench_pairs.py``).
 
     python benchmarks/bench_sampler.py --out BENCH.json \\
         [--perfbench PARENT_DIR CHANGE_DIR]
@@ -38,7 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "benchmarks")]
 
 import numpy as np  # noqa: E402
-from bench_sweep import perfbench_summary  # noqa: E402
+from perfbench_pairs import perfbench_summary  # noqa: E402
 from run import machine_info  # noqa: E402  (perfbench's machine record)
 from scipy.special import gammainccinv  # noqa: E402
 from scipy.stats import kstwo  # noqa: E402

@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
+from perfbench_pairs import perfbench_summary  # noqa: E402
 from run import machine_info  # noqa: E402  (perfbench's machine record)
 
 import expfun as ef  # noqa: E402
@@ -39,8 +40,6 @@ from expfun import _kernels_py, parallel  # noqa: E402
 
 SPAN = 4500 * -math.log(0.998)  # the default grid's log-span
 CELLS = (4500, 9000, 18000, 36000)
-WORKLOADS = ("validate_recipes", "refine_to_accuracy", "mc_crosscheck")
-METRICS = ("pass_s", "setup_s", "peak_rss_mb", "moment_err_max", "density_err_max")
 STAGES = (
     "backend.sweep_s",
     "solver.kernel_weights.total_s",
@@ -112,39 +111,6 @@ def add_against(table: dict, earlier: dict) -> None:
                 row["against_guard_rows"] = before[row["cells"]]["guard_rows"]
 
 
-def perfbench_summary(parent: Path, change: Path, stages=STAGES) -> dict:
-    """Medians of the end-to-end metrics per workload, and the ``stages``
-    of one traced run per side."""
-    out = {}
-    for wl in WORKLOADS:
-        sides = {}
-        for side, where in (("parent", parent), ("change", change)):
-            sides[side] = [json.loads(p.read_text()) for p in sorted(where.glob(f"{wl}-*.json"))]
-        runs = {side: [r["metrics"] for r in res if not r["trace"]] for side, res in sides.items()}
-        traced = {side: [r["per_layer"] for r in res if r["trace"]] for side, res in sides.items()}
-        if not runs["parent"]:
-            continue
-        entry = {"runs": len(runs["parent"])}
-        for name in METRICS:
-            par = [r[name] for r in runs["parent"]]
-            chg = [r[name] for r in runs["change"]]
-            q1, _, q3 = statistics.quantiles(par, n=4) if len(par) > 1 else (par[0],) * 3
-            entry[name] = {
-                "parent_median": statistics.median(par),
-                "change_median": statistics.median(chg),
-                "parent_iqr": q3 - q1,
-                "change_lower_in_pairs": sum(c < p for p, c in zip(par, chg)),
-            }
-        if traced["parent"] and traced["change"]:
-            # one traced run per side: median stage times of its traced passes
-            entry["traced_stages_s"] = {
-                name: {side: traced[side][0][name] for side in ("parent", "change")}
-                for name in stages
-            }
-        out[wl] = entry
-    return out
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", type=Path, required=True)
@@ -167,7 +133,7 @@ def main(argv=None) -> int:
         entry["against"] = {"file": args.against.name, "sweep": earlier["machine"]["sweep"]}
         add_against(entry["sweep"], earlier)
     if args.perfbench:
-        entry["perfbench"] = perfbench_summary(*args.perfbench)
+        entry["perfbench"] = perfbench_summary(*args.perfbench, stages=STAGES)
     args.out.write_text(json.dumps(entry, indent=1) + "\n")
     return 0
 

@@ -424,10 +424,13 @@ def monotone_histogram_check(
 
     Bin densities must stay within 3 standard errors of a nonincreasing
     envelope, satisfy discrete midpoint convexity up to the same noise
-    bands, and extrapolate to q at the origin.
+    bands, and extrapolate to q at the origin.  The extrapolation reads
+    the bins whose midpoints lie below the samples' 10% quantile; fewer
+    than two there raise :class:`DomainError` with the bin count that
+    puts two there.
     """
     if bins < 3:
-        # the x -> 0 fit reads the bins below the top one and needs two
+        # convexity compares a bin with its two neighbours
         raise DomainError("the histogram check needs at least 3 bins")
     samples = simulate(spec, n_samples, seed, increasing=True)
     v = samples.values
@@ -458,11 +461,22 @@ def monotone_histogram_check(
 
     # the x -> 0 fit only makes sense over the lowest stretch of the
     # support; on a heavy-tailed law the first bins of a log grid can span
-    # decades, so cap the fit window at the 10% quantile (any wider and the
-    # cubic term of the density biases the quadratic intercept)
+    # decades, so the fit reads only the bins whose midpoints lie below the
+    # 10% quantile (any wider and the cubic term of the density biases the
+    # quadratic intercept), and a line through them needs two
     window = np.quantile(v, 0.10)
-    k = max(5, int(np.count_nonzero(mids <= window)))
-    k = min(k, bins - 1)
+    k = int(np.count_nonzero(mids <= window))
+    if k < 2:
+        # with ratio r = edges[1]/edges[0], the second midpoint is
+        # edges[0] r (1 + r)/2, which is at most the window for r up to
+        # the root r_max of r**2 + r = 2 window/edges[0]
+        r_max = 0.5 * (math.sqrt(1.0 + 8.0 * window / edges[0]) - 1.0)
+        need = math.floor(math.log(edges[-1] / edges[0]) / math.log(r_max)) + 1
+        raise DomainError(
+            f"only {k} of the {bins} log-bin midpoints lie below the 10% quantile "
+            f"{window:.3g}, and the x -> 0 fit needs 2; use at least {need} bins "
+            "for these samples"
+        )
     limit, limit_se, spread = _weighted_limit_fit(mids[:k], dens[:k], se[:k])
     limit_band = 3.0 * limit_se + spread
     limit_ok = abs(limit - spec.kill) <= limit_band

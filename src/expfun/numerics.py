@@ -1,15 +1,18 @@
 """Shared numerical kernels.
 
-Three building blocks used throughout the package:
+Four building blocks used throughout the package:
 
 * adaptive Gauss-Kronrod quadrature with support for an algebraic
   endpoint singularity and for infinite upper limits (tail doubling),
 * a vectorized integrator over many adjacent segments at once (the
-  workhorse behind the kernel weights and the residual's one table of
-  cell integrals),
+  residual's one table of cell integrals, the validation checks, and the
+  cells the panel rule below hands back),
+* a panel rule over many equal cells (the kernel weights): one
+  interpolating polynomial per panel of 32 cells, through 20
+  Gauss-Legendre samples, with a Legendre-coefficient error estimate,
 * polynomial limit extrapolation for ratios sampled on x -> 0.
 
-Both integrators use one rule pair, the 7-point Gauss rule nested in the
+The first two use one rule pair, the 7-point Gauss rule nested in the
 15-point Kronrod rule: the 15 samples of a segment give its K15 value
 and, from the 7 Gauss nodes among them, the error estimate |K15 - G7|.
 
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from .errors import DomainError, IllConditioned, NoConvergence
 
@@ -69,6 +73,47 @@ _WG = np.concatenate([_GAUSS7_WEIGHTS_HALF[:-1], _GAUSS7_WEIGHTS_HALF[::-1]])
 
 _MAX_PANELS = 4096
 _MAX_DOUBLINGS = 64
+
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def _panel_rule(cells: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes t_j on [-1, 1] and the (cells + 2) x nodes
+    matrix that takes the samples f(t_j) to the integrals of their
+    interpolating polynomial over the ``cells`` equal parts of [-1, 1]
+    (first ``cells`` rows) and to its two highest Legendre coefficients
+    (last two rows).
+
+    The ``nodes``-point rule integrates P_k P_l exactly for k + l below
+    2 nodes, so c_k = (k + 1/2) sum_j w_j P_k(t_j) f(t_j) are the
+    interpolant's Legendre coefficients; the integral of P_k over a part
+    is a difference of its antiderivative at the part's ends.
+    """
+    t, w = legendre.leggauss(nodes)
+    to_coef = (np.arange(nodes) + 0.5)[:, None] * (legendre.legvander(t, nodes - 1) * w[:, None]).T
+    ends = np.linspace(-1.0, 1.0, cells + 1)
+    parts = np.diff(legendre.legval(ends, legendre.legint(np.eye(nodes))), axis=1).T
+    return t, np.vstack([parts @ to_coef, to_coef[-2:]])
+
+
+# The panel rule of ``integrate_uniform_cells``.  On the kernel path f's
+# only singularity is at u = 0, the lower end of the first cell.  For a
+# branch point r half-widths from a panel's centre, interpolation at K
+# Gauss nodes converges like rho**-K with rho = r + sqrt(r**2 - 1); a head
+# of two panels' worth of cells puts the first panel at r = 5, where
+# rho = 9.9 and 9.9**-20 = 1e-20 lies far below rounding.  Panel size and
+# node count are measured, on the five refine recipes at N = 4500 to
+# 36000 and the 300 survey specs at N = 300 to 4500: 16, 32 and 64 cells
+# on 20, 20 and 32 nodes failed no panel, and their largest estimate
+# stayed below 5% of the 1e-9 target.  The recipes' kernel weights took
+# 73, 46 and 39 ms in all (2-core Xeon).  32 cells on 20 nodes, 0.625
+# samples per cell against 15 for K15, takes most of that gain with
+# panels half as wide as 64 cells.
+_PANEL_CELLS = 32
+_PANEL_NODES = 20
+_PANEL_HEAD = 2 * _PANEL_CELLS
+_PANEL_T, _PANEL_MATRIX = _panel_rule(_PANEL_CELLS, _PANEL_NODES)
 
 
 @dataclass(frozen=True)
@@ -257,6 +302,79 @@ def integrate_cells(
         p = p_first if k == 0 else None
         vals[k], errs[k] = integrate(
             QuadratureRequest(f, float(los[k]), float(his[k]), rel_tol, max(abs_tol, 1e-300), p)
+        )
+    return vals, errs
+
+
+def integrate_uniform_cells(
+    f,
+    step: float,
+    n_cells: int,
+    rel_tol: float = 1e-9,
+    abs_tol: float = 1e-14,
+    p_first: Optional[float] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate ``f`` over the cells [m step, (m+1) step], m < ``n_cells``.
+
+    Past a head of ``_PANEL_HEAD`` cells, each whole panel of
+    ``_PANEL_CELLS`` cells samples f at ``_PANEL_NODES`` Gauss-Legendre
+    nodes and takes its cell integrals from the interpolating polynomial,
+    through one fixed matrix (the cells are equal, so every panel shares
+    it).  A panel's error estimate, the same on each of its cells, is
+
+    * truncation: 2 max(|c_{K-1}|, |c_{K-2}|) times the cell width, from
+      the interpolant's two highest Legendre coefficients.  While the
+      coefficients at least halve per degree, the neglected ones sum to
+      at most |c_{K-1}|, and interpolation at most doubles that; the max
+      over two degrees guards against an even or odd f whose other
+      coefficients vanish;
+    * rounding: 4 eps b F + the smallest normal double, with b the
+      panel's upper end and F the largest |f| sample.  Each cell edge and
+      each sample point sits up to eps b from its exact place: the two
+      edges move a cell integral by up to 2 eps b F, and the samples by
+      about as much again where f changes by less than F across a cell.
+      Below the smallest normal double rounding is absolute.
+
+    Against a per-cell Gauss-Kronrod reference at 1e-13, the estimate
+    bounded the error of every panel cell of the recipes and of the
+    survey specs whose reference converged, with a factor of 2.3 to
+    spare.
+
+    A panel that misses max(``rel_tol`` |value|, ``abs_tol``) on any cell
+    or has a non-finite sample, the head (which holds the ``p_first``
+    singularity at 0) and the cells past the last whole panel go through
+    :func:`integrate_cells`, one call per run of adjacent cells.  Returns
+    (values, error estimates).
+    """
+    edges = step * np.arange(n_cells + 1)
+    vals = np.empty(n_cells)
+    errs = np.empty(n_cells)
+    covered = np.zeros(n_cells, dtype=bool)
+    n_panels = max(n_cells - _PANEL_HEAD, 0) // _PANEL_CELLS
+    if n_panels:
+        stop = _PANEL_HEAD + n_panels * _PANEL_CELLS
+        ends = edges[_PANEL_HEAD : stop + 1 : _PANEL_CELLS]
+        half = 0.5 * np.diff(ends)
+        pts = (ends[:-1] + half)[:, None] + half[:, None] * _PANEL_T
+        fx = f(pts.ravel()).reshape(n_panels, _PANEL_NODES)
+        rule = fx @ _PANEL_MATRIX.T
+        cells = half[:, None] * rule[:, :_PANEL_CELLS]
+        width = half * (2.0 / _PANEL_CELLS)
+        trunc = 2.0 * np.max(np.abs(rule[:, _PANEL_CELLS:]), axis=1) * width
+        rounding = 4.0 * _EPS * ends[1:] * np.max(np.abs(fx), axis=1) + _TINY
+        est = trunc + rounding
+        # a panel with a sample that is not finite has an estimate that is not
+        ok = np.isfinite(est) & np.all(
+            est[:, None] <= np.maximum(rel_tol * np.abs(cells), abs_tol), axis=1
+        )
+        vals[_PANEL_HEAD:stop] = cells.ravel()
+        errs[_PANEL_HEAD:stop] = np.repeat(est, _PANEL_CELLS)
+        covered[_PANEL_HEAD:stop] = np.repeat(ok, _PANEL_CELLS)
+    # the runs of uncovered cells start and stop where ``covered`` flips
+    flips = np.flatnonzero(np.diff(np.concatenate([[True], covered, [True]])))
+    for lo, hi in zip(flips[::2], flips[1::2]):
+        vals[lo:hi], errs[lo:hi] = integrate_cells(
+            f, edges[lo : hi + 1], rel_tol, abs_tol, p_first if lo == 0 else None
         )
     return vals, errs
 

@@ -9,7 +9,11 @@ on (0, 1/c).  On the geometric grid x_n = x_max * delta**(N-n) the kernel
 integral against a step function collapses to weights that depend only on
 index differences, W_m = integral of Pibar(u) e**u du over (mL, (m+1)L)
 with L = -log delta, so a single back-substitution sweep solves the whole
-homogeneous system; the scale is fixed by normalization.  The sweep is a
+homogeneous system; the scale is fixed by normalization.  The cells in u
+are equal, so ``kernel_weights`` takes the W_m of each panel of 32 cells
+from one polynomial through 20 tail samples, and reserves Gauss-Kronrod
+for the cells next to the u = 0 singularity and for panels that miss the
+tolerance (``numerics.integrate_uniform_cells``).  The sweep is a
 causal convolution of the heights with the W_m; ``backend.back_substitute``
 runs it as a relaxed FFT convolution in O(N log^2 N) operations.
 
@@ -42,7 +46,7 @@ import numpy as np
 from .backend import back_substitute
 from .errors import DenominatorError, DomainError, NonPositive, TruncationError
 from .model import SubordinatorSpec, positive_moments
-from .numerics import integrate_cells
+from .numerics import integrate_cells, integrate_uniform_cells
 from .tails import ZeroTail
 
 _TAIL_MASS_TARGET = 1e-6
@@ -267,19 +271,23 @@ def build_grid(
 
 
 def kernel_weights(spec: SubordinatorSpec, grid: GeometricGrid) -> KernelWeights:
-    """The N kernel integrals W_m, in one batched quadrature pass."""
+    """The N kernel integrals W_m, each to 1e-9 relative or 1e-15 absolute:
+    one interpolating polynomial per panel of 32 cells, and Gauss-Kronrod
+    on the cells next to the u = 0 singularity and on any panel that
+    misses the tolerance (:func:`numerics.integrate_uniform_cells`)."""
     n = grid.n_cells
     if isinstance(spec.tail, ZeroTail):
         return KernelWeights(np.zeros(n), np.zeros(n))
-    edges = grid.log_step * np.arange(n + 1)
 
     def f(u):
         return spec.tail.tail_many(u) * np.exp(u)
 
-    vals, errs = integrate_cells(
-        f, edges, 1e-9, 1e-15, p_first=spec.tail.kernel_singularity()
+    vals, errs = integrate_uniform_cells(
+        f, grid.log_step, n, 1e-9, 1e-15, p_first=spec.tail.kernel_singularity()
     )
-    return KernelWeights(vals, errs)
+    # Pibar >= 0, so W_m >= 0; a panel's polynomial can dip below 0 by a
+    # few subnormals where f underflows
+    return KernelWeights(np.maximum(vals, 0.0), errs)
 
 
 def _fit_power_gap(grid: GeometricGrid, heights: np.ndarray):

@@ -256,9 +256,21 @@ def test_monotone_histogram_compound_poisson():
 
 @pytest.mark.parametrize("bins", [0, 1, 2])
 def test_monotone_histogram_rejects_too_few_bins(bins):
-    # the x -> 0 fit needs at least two bins below the top one
+    # convexity compares a bin with its two neighbours
     with pytest.raises(DomainError):
         monotone_histogram_check(UNIFORM, 1000, 9, bins=bins)
+
+
+def test_monotone_histogram_fits_the_limit_inside_its_window():
+    # the density of c = q = 1 tends to 1 at 0.  On 3 or 4 log bins only
+    # the first midpoint lies below the 10% quantile, and a fit that reached
+    # past it read a limit of 0.871 +- 0.031 or 0.521 +- 0.010
+    for bins in (3, 4):
+        with pytest.raises(DomainError, match="use at least 6 bins"):
+            monotone_histogram_check(UNIFORM, 50000, 9, bins=bins)
+    rep = monotone_histogram_check(UNIFORM, 50000, 9, bins=6)
+    assert rep.passed, rep.details
+    assert abs(rep.details["limit"] - 1.0) <= rep.details["limit_band"]
 
 
 def test_sample_csv_round_trip(tmp_path, uniform_samples):

@@ -9,6 +9,11 @@ from hypothesis import strategies as st
 from expfun.errors import DomainError, IllConditioned, NoConvergence
 from expfun.model import load_spec
 from expfun.numerics import (
+    _PANEL_CELLS,
+    _PANEL_HEAD,
+    _PANEL_MATRIX,
+    _PANEL_NODES,
+    _PANEL_T,
     _WG,
     _WK,
     _XK,
@@ -16,6 +21,7 @@ from expfun.numerics import (
     extrapolate_limit,
     integrate,
     integrate_cells,
+    integrate_uniform_cells,
     quad,
 )
 
@@ -175,6 +181,63 @@ def test_integrate_cells_singular_first_segment():
     vals, _ = integrate_cells(f, edges, p_first=-0.25)
     ref0 = quad(f, 0.0, 0.002, singularity_p=-0.25, rel_tol=1e-12)
     assert abs(vals[0] - ref0) <= 1e-9 * ref0
+
+
+@pytest.mark.parametrize("k", range(_PANEL_NODES))
+def test_panel_rule_is_exact_on_monomials(k):
+    # the interpolant of t**k (k < K) is t**k itself: its part integrals
+    # are exact, and its two highest Legendre coefficients vanish below
+    # degree K - 2; the matrix carries the rounding of a degree-20
+    # Legendre antiderivative, a few dozen ulps of a part's 0.125
+    ends = np.linspace(-1.0, 1.0, _PANEL_CELLS + 1)
+    exact = np.diff(ends ** (k + 1)) / (k + 1)
+    rule = _PANEL_MATRIX @ _PANEL_T**k
+    assert np.all(np.abs(rule[:_PANEL_CELLS] - exact) <= 1e-14)
+    if k < _PANEL_NODES - 2:
+        assert np.all(np.abs(rule[_PANEL_CELLS:]) <= 1e-14)
+
+
+def test_uniform_cells_match_closed_form():
+    # 4500 cells: the head, 138 panels and 20 cells past the last panel
+    step, n = 0.002, 4500
+    vals, errs = integrate_uniform_cells(lambda u: np.exp(-u / 3.0), step, n, 1e-9, 1e-15)
+    m = np.arange(n)
+    exact = 3.0 * np.exp(-m * step / 3.0) * -np.expm1(-step / 3.0)
+    assert np.all(np.abs(vals - exact) <= 1e-9 * exact)
+    panels = slice(_PANEL_HEAD, n - (n - _PANEL_HEAD) % _PANEL_CELLS)
+    assert np.all(np.abs(vals - exact)[panels] <= errs[panels])
+
+
+def test_uniform_cells_short_of_a_panel_are_one_integrate_cells_call():
+    n = _PANEL_HEAD + _PANEL_CELLS - 1
+    f = lambda u: np.where(u > 0, u, 1.0) ** -0.25 * np.exp(u)
+    vals, errs = integrate_uniform_cells(f, 0.002, n, 1e-9, 1e-15, p_first=-0.25)
+    ref_vals, ref_errs = integrate_cells(f, 0.002 * np.arange(n + 1), 1e-9, 1e-15, p_first=-0.25)
+    assert np.array_equal(vals, ref_vals)
+    assert np.array_equal(errs, ref_errs)
+
+
+def test_uniform_cells_reject_a_non_finite_integrand():
+    # the panels that hold it go to integrate_cells, which names the interval
+    f = lambda u: np.where(np.abs(u - 0.5) < 0.01, np.nan, np.exp(-u))
+    with pytest.raises(NoConvergence, match="not finite"):
+        integrate_uniform_cells(f, 0.002, 4500, 1e-9, 1e-15)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_uniform_cells_send_back_a_panel_with_a_non_finite_sample(bad):
+    # one sample of the sixth panel is not finite; one infinite sample makes
+    # every cell of the panel and its estimate infinite, which passes the
+    # relative test, so the panel must fail on the sample itself.  The
+    # per-cell rule samples elsewhere and integrates the panel's cells
+    step, n = 0.002, 4500
+    half = 0.5 * _PANEL_CELLS * step
+    u0 = (_PANEL_HEAD + 5 * _PANEL_CELLS) * step + half * (1.0 + _PANEL_T[0])
+    f = lambda u: np.where(np.abs(u - u0) < 1e-12, bad, np.exp(-u))
+    vals, _ = integrate_uniform_cells(f, step, n, 1e-9, 1e-15)
+    exact = np.exp(-np.arange(n) * step) * -np.expm1(-step)
+    assert np.all(np.abs(vals - exact) <= 1e-9 * exact)
 
 
 def test_extrapolate_linear_function():

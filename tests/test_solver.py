@@ -34,6 +34,11 @@ from expfun.validation import moment_agreement_check
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 UNIFORM = SubordinatorSpec(1.0, 1.0, ZeroTail())
 GAMMA = SubordinatorSpec(0.0, 0.0, GammaExpTail(1.0, 1.5, 2.0))
+# log-linear interpolation between knots: the slope of log Pibar jumps at
+# each knot, so the nested rule disagrees on the cells that straddle one
+KINKED = TabulatedTail(
+    ((0.25, 4.0), (0.5, 1.5), (1.0, 1.0), (1.5, 0.2), (3.0, 0.05), (5.0, 1e-3))
+)
 
 
 @pytest.fixture(scope="module")
@@ -103,19 +108,92 @@ def test_weights_compound_poisson_closed_form():
     assert w[0] == pytest.approx(2.0 * (math.exp(0.0005) - 1.0) / 0.5, rel=1e-9)
 
 
-def test_weights_are_one_reproducible_quadrature_pass():
-    grid = GeometricGrid(10.0, 0.9985, 2048)
+def per_cell_weights(spec, grid, rel_tol=1e-9, abs_tol=1e-15):
+    """The kernel weights from one Gauss-Kronrod rule per cell, the way
+    ``kernel_weights`` computed them before the panel rule."""
+    tail = spec.tail
     edges = grid.log_step * np.arange(grid.n_cells + 1)
+    vals, errs = integrate_cells(
+        lambda u: tail.tail_many(u) * np.exp(u),
+        edges, rel_tol, abs_tol, p_first=tail.kernel_singularity(),
+    )
+    return KernelWeights(vals, errs)
+
+
+def test_weights_are_reproducible_and_match_per_cell_quadrature():
+    # a panel's cell edges and samples sit up to eps * u from those of the
+    # per-cell rule, with u <= (m + 1) L on cell m; the two edges and the
+    # samples of each rule move W_m by up to 4 eps (m + 1) W_m between them
+    grid = GeometricGrid(10.0, 0.9985, 2048)
+    bound = 4.0 * np.finfo(float).eps * np.arange(1, grid.n_cells + 1)
     for tail in (GammaExpTail(1.0, 1.5, 2.0), LampertiKilledTail(0.5, 1.5)):
         spec = SubordinatorSpec(0.0, 0.0, tail)
         weights = kernel_weights(spec, grid)
-        vals, errs = integrate_cells(
-            lambda u: tail.tail_many(u) * np.exp(u),
-            edges, 1e-9, 1e-15, p_first=tail.kernel_singularity(),
-        )
-        assert np.array_equal(weights.values, vals)
-        assert np.array_equal(weights.error_estimates, errs)
-        assert np.array_equal(kernel_weights(spec, grid).values, weights.values)
+        again = kernel_weights(spec, grid)
+        assert np.array_equal(again.values, weights.values)
+        assert np.array_equal(again.error_estimates, weights.error_estimates)
+        ref = per_cell_weights(spec, grid).values
+        assert np.all(np.abs(weights.values - ref) <= bound * ref)
+
+
+def assert_heights_match_per_cell_weights(spec, grid):
+    d = solve(spec, grid)
+    ref = solve(spec, grid, per_cell_weights(spec, grid)).heights
+    pos = ref > 0
+    assert np.array_equal(d.heights > 0, pos)
+    assert np.max(np.abs(d.heights[pos] / ref[pos] - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("cells", [4500, 18000])
+@pytest.mark.parametrize("recipe", sorted(p.stem for p in RECIPES.glob("*.json")))
+def test_panel_weights_keep_the_heights_on_recipes(recipe, cells):
+    spec = load_spec(RECIPES / f"{recipe}.json")
+    # the span of the default grid, 0.998**4500
+    grid = build_grid(spec, 0.998 ** (4500 / cells), cells)
+    assert_heights_match_per_cell_weights(spec, grid)
+
+
+@pytest.mark.parametrize("recipe", sorted(p.stem for p in RECIPES.glob("*.json")))
+def test_weight_error_estimates_bound_the_error(recipe):
+    spec = load_spec(RECIPES / f"{recipe}.json")
+    grid = build_grid(spec, 0.998, 4500)
+    w = kernel_weights(spec, grid)
+    ref = per_cell_weights(spec, grid, 1e-13, 1e-300).values
+    assert np.all(np.abs(w.values - ref) <= w.error_estimates)
+    # where f underflows (stretched_exp_n3 past u = 8.9) a panel's
+    # polynomial dips below 0 by a few subnormals; W_m >= 0 must hold
+    assert np.all(w.values >= 0.0)
+
+
+def test_weights_fall_back_on_panels_holding_a_kink(monkeypatch):
+    # f is log-linear between the knots of a tabulated tail, so it has a
+    # kink at each knot, and the polynomial of the panel that holds one
+    # misses the tolerance; that panel goes to Gauss-Kronrod
+    spec = SubordinatorSpec(0.0, 0.0, KINKED)
+    grid = build_grid(spec, 0.998, 4500)
+    calls = []
+    original = numerics.integrate_cells
+
+    def recording(f, edges, *args):
+        calls.append(edges)
+        return original(f, edges, *args)
+
+    monkeypatch.setattr(numerics, "integrate_cells", recording)
+    w = kernel_weights(spec, grid)
+    monkeypatch.undo()
+    head, size = numerics._PANEL_HEAD, numerics._PANEL_CELLS
+    last = head + (grid.n_cells - head) // size * size
+    knots = [int(z / grid.log_step) for z, _ in KINKED.knots]
+    panels = [head + (k - head) // size * size for k in knots if k >= head]
+    assert len(panels) == len(KINKED.knots)
+    starts = [int(round(edges[0] / grid.log_step)) for edges in calls]
+    assert starts == [0] + panels + [last]
+    f = lambda u: KINKED.tail_many(u) * np.exp(u)
+    for start, edges in zip(starts, calls):
+        cells = slice(start, start + edges.size - 1)
+        vals, errs = integrate_cells(f, edges, 1e-9, 1e-15)
+        assert np.array_equal(w.values[cells], vals)
+        assert np.array_equal(w.error_estimates[cells], errs)
 
 
 def test_truncation_cap():
@@ -286,6 +364,11 @@ def test_sweep_matches_loop_on_survey_specs(spec):
     # the last leaf is a partial one
     assert (args[-1] + 1) % _LEAF != 0
     assert_sweep_matches_reference(args)
+
+
+@pytest.mark.parametrize("spec", SURVEY_SWEEPS, ids=[0, 6, 7, 14, 17, 25, 36, 66])
+def test_panel_weights_keep_the_heights_on_survey_specs(spec):
+    assert_heights_match_per_cell_weights(spec, build_grid(spec, 0.998, 4500))
 
 
 def test_solve_rescales_heights_that_would_overflow():
@@ -481,13 +564,6 @@ def reference_residuals(spec, density, cells):
         rhs = kernel_part + spec.kill * (partial + float(density._suffix_mass[k + 1]))
         out.append(abs(lhs - rhs))
     return np.array(out)
-
-
-# log-linear interpolation between knots: the slope of log Pibar jumps at
-# each knot, so the nested rule disagrees on the cells that straddle one
-KINKED = TabulatedTail(
-    ((0.25, 4.0), (0.5, 1.5), (1.0, 1.0), (1.5, 0.2), (3.0, 0.05), (5.0, 1e-3))
-)
 
 
 @pytest.mark.parametrize(
