@@ -22,8 +22,9 @@ the cells over the same span (``delta = 0.998**(1/k)``).
     python benchmarks/survey.py [--scale K]
 
 prints one JSON line: solves and failures by family, the error type of
-each failure and of each residual that is not finite, keyed by the spec's
-index in the draw.
+each failure and of each residual that is not finite, and the residual of
+each solved spec, all keyed by the spec's index in the draw.  Two runs on
+two versions of the code compare residuals spec by spec.
 """
 
 from __future__ import annotations
@@ -73,38 +74,40 @@ def draw_specs(n=N_SPECS):
 
 
 def run_one(spec, delta, cells):
-    """(solve error or None, residual error or None), each error named by
-    its type; an untyped exception is a finding, so every one is caught."""
+    """(solve error or None, residual error or None, residual or None),
+    each error named by its type; an untyped exception is a finding, so
+    every one is caught."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
             grid = ef.build_grid(spec, delta, cells)
             density = ef.solve(spec, grid, ef.kernel_weights(spec, grid))
         except Exception as exc:
-            return type(exc).__name__, None
+            return type(exc).__name__, None, None
         heights = density.heights
         mass = density.covered_mass + density.left_gap_mass_bound
         if not (np.all(np.isfinite(heights)) and np.all(heights >= 0) and abs(mass - 1) <= 1e-9):
-            return "InvalidDensity", None
+            return "InvalidDensity", None, None
         try:
             res = ef.residual(spec, density)
         except Exception as exc:
-            return None, type(exc).__name__
-        return None, (None if np.isfinite(res) else "NotFinite")
+            return None, type(exc).__name__, None
+        return None, (None if np.isfinite(res) else "NotFinite"), res
 
 
 def survey(specs, indices, delta, cells):
     t0 = perf_counter()
     by_family = {f: {"specs": 0, "solved": 0} for f in FAMILIES}
-    failures, residual_failures = {}, {}
+    failures, residual_failures, residuals = {}, {}, {}
     for i in indices:
         family, spec = specs[i]
         by_family[family]["specs"] += 1
-        solve_error, residual_error = run_one(spec, delta, cells)
+        solve_error, residual_error, res = run_one(spec, delta, cells)
         if solve_error is not None:
             failures[i] = solve_error
             continue
         by_family[family]["solved"] += 1
+        residuals[i] = res
         if residual_error is not None:
             residual_failures[i] = residual_error
     solved = sum(f["solved"] for f in by_family.values())
@@ -117,6 +120,7 @@ def survey(specs, indices, delta, cells):
         "by_family": by_family,
         "failures": failures,
         "residual_failures": residual_failures,
+        "residuals": residuals,
         "seconds": round(perf_counter() - t0, 2),
     }
 

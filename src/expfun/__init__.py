@@ -47,7 +47,6 @@ from .model import (
     rho_tilt,
     save_spec,
     spec_from_dict,
-    tail,
 )
 from .numerics import QuadratureRequest, extrapolate_limit, integrate, quad
 from .reference import (

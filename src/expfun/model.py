@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,12 +54,6 @@ class SubordinatorSpec:
 
     def to_dict(self) -> dict:
         return {"drift": self.drift, "kill": self.kill, "tail": self.tail.to_dict()}
-
-
-class NegativeMoment(NamedTuple):
-    order: float
-    value: float
-    provenance: str
 
 
 @dataclass(frozen=True)
@@ -128,13 +122,6 @@ def laplace_exponent(spec: SubordinatorSpec, lam: float, method: str = "auto") -
     return spec.drift * lam + lam * val
 
 
-def tail(spec: SubordinatorSpec, z: float) -> float:
-    """Pibar(z) for z > 0."""
-    if z <= 0:
-        raise DomainError("tail argument must be positive")
-    return spec.tail.tail_one(z)
-
-
 def phi_prime_at_zero(spec: SubordinatorSpec) -> float:
     """phi'(0) = c + integral of x Pi(dx); may be infinite."""
     return spec.drift + spec.tail.mean_jump()
@@ -154,7 +141,7 @@ def positive_moments(spec: SubordinatorSpec, n_max: int) -> MomentSequence:
 
 def negative_moment(
     spec: SubordinatorSpec, alpha: float, density=None
-) -> NegativeMoment:
+) -> MomentEntry:
     """E[I^(-alpha)] for q = 0 models whose tail decays at index >= alpha.
 
     Integer orders iterate E[I^(-b-1)] = E[I^(-b)] * phi(-b)/(-b) starting
@@ -167,7 +154,7 @@ def negative_moment(
     if alpha < 0:
         raise DomainError("alpha must be >= 0")
     if alpha == 0:
-        return NegativeMoment(0.0, 1.0, "recursion")
+        return MomentEntry(0.0, 1.0, "recursion")
     idx = spec.tail.decay_index()
     # every recursion step evaluates phi(-m) for some m <= alpha - 1, and
     # phi extends only to arguments above minus the decay index
@@ -200,7 +187,7 @@ def negative_moment(
         while b < alpha - 1e-12:
             value *= laplace_exponent(spec, -b) / (-b)
             b += 1.0
-    return NegativeMoment(alpha, value, provenance)
+    return MomentEntry(alpha, value, provenance)
 
 
 def class_index(

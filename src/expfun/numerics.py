@@ -5,9 +5,9 @@ Four building blocks used throughout the package:
 * adaptive Gauss-Kronrod quadrature with support for an algebraic
   endpoint singularity and for infinite upper limits (tail doubling),
 * a vectorized integrator over many adjacent segments at once (the
-  residual's one table of cell integrals, the validation checks, and the
   cells the panel rule below hands back),
-* a panel rule over many equal cells (the kernel weights): one
+* a panel rule over many equal cells (the kernel weights, and the
+  half-cell table of the equation residual and the renewal check): one
   interpolating polynomial per panel of 32 cells, through 20
   Gauss-Legendre samples, with a Legendre-coefficient error estimate,
 * polynomial limit extrapolation for ratios sampled on x -> 0.
@@ -153,7 +153,7 @@ def _adaptive_finite(f, a, b, rel_tol, abs_tol, scale=0.0):
 
     def panels(los, his):
         half = 0.5 * (his - los)
-        g7, k15 = _rule_sums(f, los, his)
+        g7, k15, _ = _rule_sums(f, los, his)
         vals = half * k15
         bad = np.nonzero(~np.isfinite(vals))[0]
         if bad.size:
@@ -254,10 +254,11 @@ def quad(f, lo, hi, rel_tol=1e-9, abs_tol=1e-12, singularity_p=None):
     return val
 
 
-def _rule_sums(f, los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rule_sums(f, los: np.ndarray, his: np.ndarray):
     """Unscaled G7 and K15 sums of ``f`` over every segment
     [los[k], his[k]], from one batched integrand call at the 15 Kronrod
     nodes of each segment; the G7 sum reads the 7 odd-indexed samples.
+    The third array holds the samples, one row per segment.
 
     Multiplying by the half-width 0.5 * (his - los) gives the two rule
     estimates of each segment integral.
@@ -266,7 +267,7 @@ def _rule_sums(f, los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndar
     mid = 0.5 * (his + los)
     pts = mid[:, None] + half[:, None] * _XK[None, :]
     fx = f(pts.ravel()).reshape(los.size, _XK.size)
-    return fx[:, 1::2] @ _WG, fx @ _WK
+    return fx[:, 1::2] @ _WG, fx @ _WK, fx
 
 
 def integrate_cells(
@@ -285,6 +286,11 @@ def integrate_cells(
     singularity of ``f`` at ``edges[0]`` and routes the first segment
     through the desingularizing substitution.  Returns (values, error
     estimates).
+
+    A passing segment's estimate adds to |K15 - G7|, which can be 0 on a
+    smooth segment, the rounding floor of :func:`integrate_uniform_cells`:
+    4 eps b F + the smallest normal double, with b = max(|lo|, |hi|) and F
+    the largest |f| sample.  The pass test leaves the floor out.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
@@ -292,10 +298,12 @@ def integrate_cells(
     los = edges[:-1]
     his = edges[1:]
     half = 0.5 * (his - los)
-    g7_sums, k15_sums = _rule_sums(f, los, his)
+    g7_sums, k15_sums, fx = _rule_sums(f, los, his)
     vals = half * k15_sums
-    errs = np.abs(vals - half * g7_sums)
-    ok = errs <= np.maximum(rel_tol * np.abs(vals), abs_tol)
+    diffs = np.abs(vals - half * g7_sums)
+    ok = diffs <= np.maximum(rel_tol * np.abs(vals), abs_tol)
+    f_max = np.max(np.abs(fx), axis=1)
+    errs = diffs + 4.0 * _EPS * np.maximum(np.abs(los), np.abs(his)) * f_max + _TINY
     if p_first is not None:
         ok[0] = False
     for k in np.nonzero(~ok)[0]:

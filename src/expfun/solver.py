@@ -31,8 +31,11 @@ documented on the fields they feed:
   :class:`DenominatorError`.
 
 ``residual`` checks the equation at the midpoint of every cell below the
-top 1%: seen from any midpoint the cells above it form one table of
-integrals, so the kernel part at all N midpoints is one FFT correlation.
+top 1%, and ``validation.renewal_check`` the renewal identity: seen from
+any midpoint, the cells above it are one table of half-cells in u, so each
+check reads all N midpoints from one FFT correlation.  The table's edges
+sit between those of the W_m, so the checks share no integral with the
+solve.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import numpy as np
 from .backend import back_substitute
 from .errors import DenominatorError, DomainError, NonPositive, TruncationError
 from .model import SubordinatorSpec, positive_moments
-from .numerics import integrate_cells, integrate_uniform_cells
+from .numerics import integrate_uniform_cells
 from .tails import ZeroTail
 
 _TAIL_MASS_TARGET = 1e-6
@@ -158,10 +161,6 @@ class StepDensity:
     left_gap_mass_bound: float
     gap: GapModel
     top_zero_cells: int = 0
-
-    @property
-    def gap_exponent(self) -> float:
-        return self.gap.c1 if self.gap.kind == "power" else 0.0
 
     @cached_property
     def _suffix_mass(self) -> np.ndarray:
@@ -393,32 +392,44 @@ def residual_cell_count(grid: GeometricGrid) -> int:
     return math.floor(0.99 * grid.n_cells)
 
 
+def _sums_above_midpoints(f, density: StepDensity, p_first=None) -> np.ndarray:
+    """S[k] = integral of f(u) k~(x_p e**u) du over u > 0 at the geometric
+    midpoint x_p of every cell k.
+
+    Seen from x_p = sqrt(x_k x_{k+1}) in u = log(y/x_p), the grid looks the
+    same for every k: the rest of cell k is u in (0, L/2) and cell k+m,
+    m >= 1, is u in ((m - 1/2) L, (m + 1/2) L).  So one table of 2N - 1
+    half-cell integrals H_j of f over (j L/2, (j+1) L/2)
+    (:func:`numerics.integrate_uniform_cells`, ``p_first`` marking a
+    singularity at u = 0) gives V_0 = H_0 and V_m = H_{2m-1} + H_{2m}, and
+    S[k] = sum over m of V_m h[k+m] at all N cells is one FFT correlation.
+    """
+    n = density.grid.n_cells
+    half, _ = integrate_uniform_cells(
+        f, 0.5 * density.grid.log_step, 2 * n - 1, 1e-8, 1e-14, p_first=p_first
+    )
+    v = np.concatenate([half[:1], half[1::2] + half[2::2]])
+    # zero-padding to 2N keeps the circular correlation from wrapping
+    v_hat = np.fft.rfft(v, 2 * n)
+    return np.fft.irfft(np.fft.rfft(density.heights, 2 * n) * np.conj(v_hat), 2 * n)[:n]
+
+
 def _cell_residuals(spec: SubordinatorSpec, density: StepDensity) -> np.ndarray:
     """|(1 - c x) k~(x) - RHS(x)| at the geometric midpoint of every cell
     below the top 1%, with the RHS integrals recomputed by fresh quadrature.
 
     At the grid nodes the back-substitution enforced the discrete equations
-    exactly, so only off-node points see the discretisation error.  Seen
-    from the midpoint x_p = sqrt(x_k x_{k+1}) of cell k, the grid looks the
-    same for every k:
+    exactly, so only off-node points see the discretisation error.  At the
+    midpoint x_p the kernel part of the RHS is x_p times the integral of
+    Pibar(u) e**u k~(x_p e**u) over u > 0, which
+    :func:`_sums_above_midpoints` gives at every cell from one half-cell
+    table; the kill part is a suffix sum.
 
-    * the first, partial cell [x_p, x_{k+1}] is u = log(y/x_p) in
-      [0, L/2], so its kernel integral is x_p * A_0 with
-      A_0 = integral of Pibar(u) e**u over (0, L/2), one scalar;
-    * the integral of Pibar(log(y/x_p)) over cell k+m, m >= 1, is
-      (x_p/x_ref) T[m], where T[m] is the integral over cell m seen from
-      the lowest midpoint x_ref.
-
-    One table T, integrated in y, serves every cell, and the kernel part
-    of the RHS at all N midpoints is one FFT correlation of the heights
-    with T.  The kill part is a suffix sum.
-
-    The check stays independent of the solve: it integrates Pibar(log(y/x))
-    in y over the grid cells, where the solve integrates Pibar(u) e**u in u
-    over log-step cells, and it never reads the cached weights W_m.
+    The check stays independent of the solve: it never reads the weights
+    W_m, and its table's cell edges sit at (m +- 1/2) L, where the weights'
+    edges sit at m L, so no integral of the solve is reused.
     """
     grid = density.grid
-    n = grid.n_cells
     nodes = grid.nodes
     h = density.heights
     x_p = np.sqrt(nodes[:-1] * nodes[1:])
@@ -426,25 +437,14 @@ def _cell_residuals(spec: SubordinatorSpec, density: StepDensity) -> np.ndarray:
     rhs = spec.kill * (h * (nodes[1:] - x_p) + density._suffix_mass[1:])
     if not isinstance(spec.tail, ZeroTail):
         tail = spec.tail.tail_many
-        (a0,), _ = integrate_cells(
-            lambda u: tail(u) * np.exp(u),
-            [0.0, 0.5 * grid.log_step],
-            1e-8,
-            1e-14,
-            p_first=spec.tail.kernel_singularity(),
+        rhs = rhs + x_p * _sums_above_midpoints(
+            lambda u: tail(u) * np.exp(u), density, spec.tail.kernel_singularity()
         )
-        x_ref = x_p[0]
-        table, _ = integrate_cells(lambda y: tail(np.log(y / x_ref)), nodes[1:], 1e-8, 1e-14)
-        # corr[k] = sum over m >= 1 of T[m] h[k+m]; zero-padding to 2N
-        # keeps the circular correlation from wrapping
-        t_hat = np.fft.rfft(np.concatenate([[0.0], table]), 2 * n)
-        corr = np.fft.irfft(np.fft.rfft(h, 2 * n) * np.conj(t_hat), 2 * n)[:n]
-        rhs = rhs + x_p * (a0 * h + corr / x_ref)
     return np.abs(lhs - rhs)[: residual_cell_count(grid)]
 
 
 def residual(spec: SubordinatorSpec, density: StepDensity) -> float:
     """Sup of |(1 - c x) k~(x) - RHS(x)| over the midpoints of every cell
-    below the top 1%: one table of cell integrals, one FFT correlation of
-    the heights with it (:func:`_cell_residuals`)."""
+    below the top 1%: one half-cell table in u, one FFT correlation of the
+    heights with it (:func:`_cell_residuals`)."""
     return float(np.max(_cell_residuals(spec, density)))

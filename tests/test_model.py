@@ -20,7 +20,6 @@ from expfun.model import (
     rho_tilt,
     save_spec,
     spec_from_dict,
-    tail,
 )
 from expfun.numerics import quad
 from expfun.tails import (
@@ -287,9 +286,9 @@ def test_dual_sn():
 
 
 def test_tail_accessor():
-    assert tail(STABLE_DRIFT, 1.0) == pytest.approx(4.0)
+    assert STABLE_DRIFT.tail.tail_one(1.0) == pytest.approx(4.0)
     with pytest.raises(DomainError):
-        tail(STABLE_DRIFT, 0.0)
+        STABLE_DRIFT.tail.tail_one(0.0)
 
 
 def test_spec_round_trip(tmp_path):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from expfun import solver as solver_module
 from expfun.errors import DomainError, InsufficientGrid
 from expfun.model import SubordinatorSpec
+from expfun.numerics import integrate_cells
 from expfun.reference import (
     killed_drift_law,
     killed_drift_tilted_law,
@@ -25,6 +27,7 @@ from expfun.validation import (
 UNIFORM = SubordinatorSpec(1.0, 1.0, ZeroTail())
 GHALF = SubordinatorSpec(0.0, 0.0, GammaExpTail(0.5, 1.0, 1.0))
 GAMMA = SubordinatorSpec(0.0, 0.0, GammaExpTail(1.0, 1.5, 2.0))
+EX3 = SubordinatorSpec(0.0, 1.0 / math.gamma(0.5), LampertiKilledTail(0.5, 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +180,59 @@ def test_renewal_check_killed_drift(uniform_density):
 def test_renewal_check_detects_wrong_kernel(uniform_density):
     rep = renewal_check(UNIFORM, uniform_density, lambda x: 0.5 * np.exp(-0.5 * x))
     assert not rep.passed
+
+
+def per_probe_renewal(density, renewal_density, cells, uq_singularity=None):
+    """The right side of the renewal identity at the midpoint y of each
+    given cell by one integrate_cells call in t = y e^x over the cell's
+    partial cell and every cell above it."""
+    nodes = density.grid.nodes
+    out = []
+    for k in cells:
+        y = math.sqrt(nodes[k] * nodes[k + 1])
+        edges = np.concatenate([[y], nodes[k + 1 :]])
+        vals, _ = integrate_cells(
+            lambda t: renewal_density(np.log(t / y)) / t, edges, 1e-8, 1e-14,
+            p_first=uq_singularity,
+        )
+        out.append(float(np.dot(vals, density.heights[k:])))
+    return np.array(out)
+
+
+def ex3_renewal(x):
+    return np.expm1(2.0 * np.asarray(x, dtype=float)) ** -0.5 / math.gamma(1.5)
+
+
+@pytest.mark.parametrize(
+    "spec, delta, renewal_density, p",
+    [(UNIFORM, 0.999, lambda x: np.exp(-x), None), (EX3, 0.998, ex3_renewal, -0.5)],
+    ids=["uniform", "lamperti_killed"],
+)
+def test_renewal_matches_per_probe_reference(monkeypatch, spec, delta, renewal_density, p):
+    density = solve(spec, build_grid(spec, delta, 2000))
+    tables = []
+    original = solver_module.integrate_uniform_cells
+
+    def recording(f, *args, **kwargs):
+        tables.append(f)
+        return original(f, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "integrate_uniform_cells", recording)
+    rep = renewal_check(spec, density, renewal_density, uq_singularity=p)
+    monkeypatch.undo()
+    assert tables == [renewal_density]
+    assert rep.passed, rep.summary()
+    nodes = density.grid.nodes
+    mids = np.sqrt(nodes[:-1] * nodes[1:])
+    cells = np.searchsorted(mids, rep.probes)
+    assert np.array_equal(mids[cells], rep.probes)
+    # the window holds every cell with 0.02 < F < 0.9
+    cdf = density.cdf(mids)
+    assert np.array_equal(cells, np.nonzero((cdf > 0.02) & (cdf < 0.9))[0])
+    pick = np.unique(np.linspace(0, cells.size - 1, 32).astype(int))
+    ref = per_probe_renewal(density, renewal_density, cells[pick], p)
+    assert np.all(np.abs(rep.measured[pick] - ref) <= 1e-6 * np.abs(ref))
+    assert np.array_equal(rep.oracle[pick], [density.survival(y) for y in rep.probes[pick]])
 
 
 def test_moment_agreement(gamma_density):
