@@ -37,6 +37,7 @@ from run import machine_info  # noqa: E402  (perfbench's machine record)
 
 import expfun as ef  # noqa: E402
 from expfun import _kernels_py, parallel  # noqa: E402
+from expfun.solver import sweep_inputs  # noqa: E402
 
 SPAN = 4500 * -math.log(0.998)  # the default grid's log-span
 CELLS = (4500, 9000, 18000, 36000)
@@ -61,14 +62,11 @@ def loop_sweep(nodes, widths, weights, denoms, q, start):
     return y
 
 
-def sweep_inputs(spec, n_cells):
-    """The arguments ``solve`` hands to the sweep, with its layer rule."""
+def sweep_args(spec, n_cells):
+    """The arguments ``solve`` hands to the sweep."""
     grid = ef.build_grid(spec, math.exp(-SPAN / n_cells), n_cells)
     weights = ef.kernel_weights(spec, grid).values
-    nodes = grid.nodes[:-1]
-    denoms = 1.0 - spec.drift * nodes - nodes * weights[0] - spec.kill * grid.widths
-    bad = np.nonzero(denoms[: n_cells - 1] <= 0.0)[0]
-    start = n_cells - 1 if not bad.size else int(bad[0]) - 1
+    denoms, start = sweep_inputs(spec, grid, weights)
     return grid.nodes, grid.widths, weights, denoms, spec.kill, start
 
 
@@ -78,7 +76,7 @@ def sweep_table(repeats: int) -> dict:
         spec = ef.load_spec(path)
         rows = []
         for n_cells in CELLS:
-            args = sweep_inputs(spec, n_cells)
+            args = sweep_args(spec, n_cells)
             loop_s, fft_s = [], []
             for _ in range(repeats):
                 t0 = perf_counter()

@@ -15,16 +15,23 @@ rate q (0 with probability 1/2, else U(0.05, 2)).
 Each spec runs ``build_grid(spec, 0.998, 4500)``, ``kernel_weights`` and
 ``solve`` with RuntimeWarnings raised as errors.  A solve counts when its
 heights are finite and non-negative and its mass is 1 to 1e-9; then
-``residual`` runs, and the survey records whether it is finite.
-``--scale k`` reruns the specs that failed on the default grid at k times
-the cells over the same span (``delta = 0.998**(1/k)``).
+``residual`` runs, and the survey records whether it is finite.  Each
+solved spec then runs the checks of ``expfun validate`` (the moment
+agreement, and the q > 0 limit or, for a finite decay index, the small-x
+ratio law) and, for q = 0, the dual's large-x ratio law, still with
+RuntimeWarnings as errors.  ``--scale k`` reruns the specs that failed on
+the default grid at k times the cells over the same span
+(``delta = 0.998**(1/k)``).
 
     python benchmarks/survey.py [--scale K]
 
 prints one JSON line: solves and failures by family, the error type of
-each failure and of each residual that is not finite, and the residual of
-each solved spec, all keyed by the spec's index in the draw.  Two runs on
-two versions of the code compare residuals spec by spec.
+each failure and of each residual that is not finite, the residual of
+each solved spec, and each check's outcome ("pass", "fail" or the error
+type), all keyed by the spec's index in the draw, with the outcomes
+counted per check and every error that is not an ``ExpfunError`` listed
+under ``untyped``.  Two runs on two versions of the code compare
+residuals spec by spec.
 """
 
 from __future__ import annotations
@@ -73,43 +80,87 @@ def draw_specs(n=N_SPECS):
     return out
 
 
+def limit_check(spec, density):
+    """The limit law ``expfun validate`` checks, or None when it has none."""
+    if spec.kill > 0:
+        return ef.q_positive_limit_check(spec, density)
+    alpha, _ = ef.class_index(spec.tail)
+    if np.isfinite(alpha):
+        return ef.small_x_ratio_check(spec, density, threshold=0.02)
+    return None
+
+
+def check_outcomes(spec, density):
+    """({check: "pass", "fail" or the error's type name}, {check: type and
+    message of each error that is not an ExpfunError}) over the checks of
+    ``expfun validate`` and, for q = 0, the dual's ratio law."""
+    checks = {
+        "moments": lambda: ef.moment_agreement_check(
+            spec, density, threshold=max(5e-3, 10.0 * density.grid.log_step)
+        ),
+        "limit": lambda: limit_check(spec, density),
+    }
+    if spec.kill == 0:
+        checks["dual"] = lambda: ef.dual_large_x_check(spec, density)
+    out, untyped = {}, {}
+    for name, check in checks.items():
+        try:
+            report = check()
+        except Exception as exc:
+            out[name] = type(exc).__name__
+            if not isinstance(exc, ef.ExpfunError):
+                untyped[name] = f"{type(exc).__name__}: {exc}"
+            continue
+        if report is not None:
+            out[name] = "pass" if report.passed else "fail"
+    return out, untyped
+
+
 def run_one(spec, delta, cells):
-    """(solve error or None, residual error or None, residual or None),
-    each error named by its type; an untyped exception is a finding, so
-    every one is caught."""
+    """(solve error or None, residual error or None, residual or None,
+    check outcomes and untyped check errors, or None), each error named by
+    its type; an untyped exception is a finding, so every one is caught."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
             grid = ef.build_grid(spec, delta, cells)
             density = ef.solve(spec, grid, ef.kernel_weights(spec, grid))
         except Exception as exc:
-            return type(exc).__name__, None, None
+            return type(exc).__name__, None, None, None
         heights = density.heights
         mass = density.covered_mass + density.left_gap_mass_bound
         if not (np.all(np.isfinite(heights)) and np.all(heights >= 0) and abs(mass - 1) <= 1e-9):
-            return "InvalidDensity", None, None
+            return "InvalidDensity", None, None, None
         try:
             res = ef.residual(spec, density)
         except Exception as exc:
-            return None, type(exc).__name__, None
-        return None, (None if np.isfinite(res) else "NotFinite"), res
+            return None, type(exc).__name__, None, check_outcomes(spec, density)
+        residual_error = None if np.isfinite(res) else "NotFinite"
+        return None, residual_error, res, check_outcomes(spec, density)
 
 
 def survey(specs, indices, delta, cells):
     t0 = perf_counter()
     by_family = {f: {"specs": 0, "solved": 0} for f in FAMILIES}
-    failures, residual_failures, residuals = {}, {}, {}
+    failures, residual_failures, residuals, checks, untyped = {}, {}, {}, {}, {}
+    counts = {}
     for i in indices:
         family, spec = specs[i]
         by_family[family]["specs"] += 1
-        solve_error, residual_error, res = run_one(spec, delta, cells)
+        solve_error, residual_error, res, checked = run_one(spec, delta, cells)
         if solve_error is not None:
             failures[i] = solve_error
             continue
         by_family[family]["solved"] += 1
         residuals[i] = res
+        checks[i], errors = checked
+        if errors:
+            untyped[i] = errors
         if residual_error is not None:
             residual_failures[i] = residual_error
+        for name, outcome in checks[i].items():
+            per_check = counts.setdefault(name, {})
+            per_check[outcome] = per_check.get(outcome, 0) + 1
     solved = sum(f["solved"] for f in by_family.values())
     return {
         "cells": cells,
@@ -121,6 +172,9 @@ def survey(specs, indices, delta, cells):
         "failures": failures,
         "residual_failures": residual_failures,
         "residuals": residuals,
+        "checks": checks,
+        "check_counts": counts,
+        "untyped": untyped,
         "seconds": round(perf_counter() - t0, 2),
     }
 

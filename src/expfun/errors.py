@@ -72,4 +72,5 @@ class CutoffError(ExpfunError):
 
 
 class InsufficientGrid(ExpfunError):
-    """A validation check needs more grid resolution than is available."""
+    """A validation check cannot be evaluated on the available grid: too few
+    cells in its window, or a tail that underflows there."""

@@ -22,11 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, MissingDensity, NotConvergent, SpecFileError
-from .numerics import QuadratureRequest, integrate
 from .tails import LevyTail, TiltedTail, ZeroTail, tail_from_dict
-
-_QUAD_REL = 1e-9
-_QUAD_ABS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,14 +77,6 @@ class MomentSequence:
                 return e.value
         raise KeyError(f"no moment of order {order}")
 
-    def orders(self):
-        return [e.order for e in self.entries]
-
-
-def _laplace_domain_bound(tail: LevyTail) -> float:
-    """phi extends to lam > -bound; the bound is the tail decay index."""
-    return tail.decay_index()
-
 
 def laplace_exponent(spec: SubordinatorSpec, lam: float, method: str = "auto") -> float:
     """Evaluate phi(lam) for lam above minus the tail decay index.
@@ -99,7 +87,8 @@ def laplace_exponent(spec: SubordinatorSpec, lam: float, method: str = "auto") -
     """
     if lam == 0.0:
         return 0.0
-    bound = _laplace_domain_bound(spec.tail)
+    # phi extends to lam above minus the tail decay index
+    bound = spec.tail.decay_index()
     if lam < 0 and np.isfinite(bound) and lam <= -bound:
         raise DomainError(
             f"lam = {lam} is outside the Laplace domain (requires lam > {-bound})"
@@ -110,16 +99,7 @@ def laplace_exponent(spec: SubordinatorSpec, lam: float, method: str = "auto") -
             return spec.drift * lam + part
     elif method != "quadrature":
         raise DomainError(f"unknown method {method!r}")
-
-    def integrand(u):
-        return np.exp(-lam * u) * spec.tail.tail_many(u)
-
-    val, _ = integrate(
-        QuadratureRequest(
-            integrand, 0.0, np.inf, _QUAD_REL, _QUAD_ABS, spec.tail.kernel_singularity()
-        )
-    )
-    return spec.drift * lam + lam * val
+    return spec.drift * lam + lam * spec.tail.laplace_integral(lam)
 
 
 def phi_prime_at_zero(spec: SubordinatorSpec) -> float:

@@ -85,6 +85,11 @@ class GeometricGrid:
     def widths(self) -> np.ndarray:
         return np.diff(self.nodes)
 
+    @cached_property
+    def midpoints(self) -> np.ndarray:
+        """Geometric cell midpoints sqrt(x_n x_{n+1}), n = 0..n_cells-1."""
+        return np.sqrt(self.nodes[:-1] * self.nodes[1:])
+
     @property
     def log_step(self) -> float:
         return -math.log(self.delta)
@@ -190,17 +195,16 @@ class StepDensity:
         vals = self.heights[n]
         return np.where((x < self.grid.x0) | (x > self.grid.x_max), 0.0, vals)
 
-    def survival(self, x: float) -> float:
-        """Integral of the step function over (x, x_max]."""
-        if x <= 0 or x > self.grid.x_max * (1 + 1e-12):
-            raise DomainError(f"x = {x} outside the support (0, {self.grid.x_max}]")
-        if x <= self.grid.x0:
-            return self.covered_mass
-        if x >= self.grid.x_max:
-            return 0.0
-        n = int(self._cell_of(np.array([x]))[0])
-        partial = (self.grid.nodes[n + 1] - x) * self.heights[n]
-        return float(self._suffix_mass[n + 1] + partial)
+    def survival(self, x):
+        """Integral of the step function over (x, x_max], elementwise."""
+        x = np.asarray(x, dtype=float)
+        outside = (x <= 0) | (x > self.grid.x_max * (1 + 1e-12))
+        if np.any(outside):
+            raise DomainError(f"x = {x[outside][0]} outside the support (0, {self.grid.x_max}]")
+        n = np.minimum(self._cell_of(x), self.grid.n_cells - 1)
+        out = self.heights[n] * (self.grid.nodes[n + 1] - x) + self._suffix_mass[n + 1]
+        out = np.where(x <= self.grid.x0, self.covered_mass, out)
+        return np.where(x >= self.grid.x_max, 0.0, out)[()]
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         """P(I <= x) including the gap model below x_0."""
@@ -296,7 +300,7 @@ def _fit_power_gap(grid: GeometricGrid, heights: np.ndarray):
     ys = heights[:k]
     if np.any(ys <= 0):
         return 0.0, 0.0, 0.0
-    mids = np.sqrt(grid.nodes[:k] * grid.nodes[1 : k + 1])
+    mids = grid.midpoints[:k]
     slope = np.polyfit(np.log(mids), np.log(ys), 1)[0]
     kappa = float(np.clip(slope, -0.95, 10.0))
     coef = float(ys[0] / mids[0] ** kappa)
@@ -308,8 +312,28 @@ def _fit_affine_slope(grid: GeometricGrid, heights: np.ndarray) -> float:
     """Raw-scale slope of the density over the lowest cells (q > 0 case,
     where the intercept is pinned to the kill rate after normalization)."""
     k = min(_GAP_FIT_CELLS, heights.shape[0])
-    mids = np.sqrt(grid.nodes[:k] * grid.nodes[1 : k + 1])
+    mids = grid.midpoints[:k]
     return float(np.polyfit(mids, heights[:k], 1)[0])
+
+
+def sweep_inputs(
+    spec: SubordinatorSpec, grid: GeometricGrid, weights: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """The diagonal 1 - c x_n - x_n W_0 - q w_n and the sweep's first row:
+    the top cell, or the cell below a boundary layer where the diagonal is
+    not positive (drift c > 0, first bad node above 0.95 x_max).  A bad
+    diagonal anywhere else raises :class:`DenominatorError`."""
+    n = grid.n_cells
+    nodes = grid.nodes[:-1]
+    denom = 1.0 - spec.drift * nodes - nodes * weights[0] - spec.kill * grid.widths
+    bad = np.nonzero(denom[: n - 1] <= 0.0)[0]
+    if not bad.size:
+        return denom, n - 1
+    first_bad = int(bad[0])
+    layer_ok = spec.drift > 0 and nodes[first_bad] > 0.95 * grid.x_max and first_bad >= 1
+    if not layer_ok:
+        raise DenominatorError(first_bad, float(denom[first_bad]))
+    return denom, first_bad - 1
 
 
 def solve(
@@ -328,23 +352,8 @@ def solve(
     if weights is None:
         weights = kernel_weights(spec, grid)
     n = grid.n_cells
-    nodes = grid.nodes[:-1]
     w = grid.widths
-    denom = 1.0 - spec.drift * nodes - nodes * weights.values[0] - spec.kill * w
-
-    bad = np.nonzero(denom[: n - 1] <= 0.0)[0]
-    start = n - 1
-    if bad.size:
-        first_bad = int(bad[0])
-        layer_ok = (
-            spec.drift > 0
-            and nodes[first_bad] > 0.95 * grid.x_max
-            and first_bad >= 1
-        )
-        if not layer_ok:
-            raise DenominatorError(first_bad, float(denom[first_bad]))
-        start = first_bad - 1
-
+    denom, start = sweep_inputs(spec, grid, weights.values)
     raw = back_substitute(grid.nodes, w, weights.values, denom, spec.kill, start)
     if not np.all(np.isfinite(raw)):
         k = int(np.nonzero(~np.isfinite(raw))[0][0])
@@ -423,18 +432,16 @@ def _cell_residuals(spec: SubordinatorSpec, density: StepDensity) -> np.ndarray:
     midpoint x_p the kernel part of the RHS is x_p times the integral of
     Pibar(u) e**u k~(x_p e**u) over u > 0, which
     :func:`_sums_above_midpoints` gives at every cell from one half-cell
-    table; the kill part is a suffix sum.
+    table; the kill part is q times the survival at x_p.
 
     The check stays independent of the solve: it never reads the weights
     W_m, and its table's cell edges sit at (m +- 1/2) L, where the weights'
     edges sit at m L, so no integral of the solve is reused.
     """
     grid = density.grid
-    nodes = grid.nodes
-    h = density.heights
-    x_p = np.sqrt(nodes[:-1] * nodes[1:])
-    lhs = (1.0 - spec.drift * x_p) * h
-    rhs = spec.kill * (h * (nodes[1:] - x_p) + density._suffix_mass[1:])
+    x_p = grid.midpoints
+    lhs = (1.0 - spec.drift * x_p) * density.heights
+    rhs = spec.kill * density.survival(x_p)
     if not isinstance(spec.tail, ZeroTail):
         tail = spec.tail.tail_many
         rhs = rhs + x_p * _sums_above_midpoints(

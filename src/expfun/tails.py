@@ -9,6 +9,8 @@ truncated first moment used for small-jump compensation, the Levy density
 ``density_many``, and a sampler for jumps restricted to (eps, inf).
 
 ``tail_many`` is the batch entry point; hot paths hand it whole arrays.
+Without a closed form, phi, the mean jump and the small-jump mean all
+come from one quadrature of exp(-lam u) Pibar(u), ``laplace_integral``.
 
 ``sample_restricted`` draws from a numpy ``Generator``.  Two variants have
 exact generators that invert no special function: ``StretchedExpTail``
@@ -32,8 +34,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.special import beta as beta_fn
-from scipy.special import betainc, digamma, exp1, gamma as gamma_fn, gammaln
-from scipy.special import gammaincc
+from scipy.special import betainc, digamma, exp1, gammaincc, gammaln, rgamma
 
 from .errors import DomainError, NoConvergence, SpecFileError
 from .numerics import QuadratureRequest, integrate
@@ -89,12 +90,7 @@ class LevyTail:
 
     def mean_jump(self) -> float:
         """Integral of x Pi(dx) over (0, inf) = integral of Pibar; may be inf."""
-        val, _ = integrate(
-            QuadratureRequest(
-                self.tail_many, 0.0, np.inf, _QUAD_REL, _QUAD_ABS, self.kernel_singularity()
-            )
-        )
-        return val
+        return self.laplace_integral(0.0)
 
     def kernel_singularity(self) -> Optional[float]:
         """Exponent p in (-1, 0) with Pibar(z) ~ C z**p as z -> 0, if singular."""
@@ -109,16 +105,31 @@ class LevyTail:
         """Closed form of lam * integral exp(-lam*u) Pibar(u) du, when known."""
         return None
 
+    def laplace_integral(self, lam: float, hi: float = math.inf) -> float:
+        """Integral of exp(-lam*u) Pibar(u) over (0, hi), by quadrature.
+
+        For lam < 0, exp(-lam*u) overflows far out where Pibar has already
+        underflowed to 0, so the integrand is exp(log Pibar(u) - lam*u).
+        """
+        if lam == 0.0:
+            f = self.tail_many
+        elif lam > 0.0:
+            def f(u):
+                return np.exp(-lam * u) * self.tail_many(u)
+        else:
+            def f(u):
+                with np.errstate(divide="ignore"):
+                    return np.exp(np.log(self.tail_many(u)) - lam * u)
+        val, _ = integrate(
+            QuadratureRequest(f, 0.0, hi, _QUAD_REL, _QUAD_ABS, self.kernel_singularity())
+        )
+        return val
+
     def small_jump_mean(self, eps: float) -> float:
         """Integral of x Pi(dx) over (0, eps]; the compensation drift."""
         if eps <= 0:
             return 0.0
-        head, _ = integrate(
-            QuadratureRequest(
-                self.tail_many, 0.0, eps, _QUAD_REL, _QUAD_ABS, self.kernel_singularity()
-            )
-        )
-        return head - eps * self.tail_one(eps)
+        return self.laplace_integral(0.0, eps) - eps * self.tail_one(eps)
 
     # -- sampling -----------------------------------------------------------
     def inverse_tail(self, w: np.ndarray) -> np.ndarray:
@@ -513,10 +524,8 @@ class LampertiKilledTail(LevyTail):
         if x2 > 0:
             ratio = math.exp(gammaln(x1) - gammaln(x2))
         else:
-            g2 = float(gamma_fn(x2))
-            if not np.isfinite(g2) or g2 == 0.0:
-                return None
-            ratio = math.gamma(x1) / g2
+            # -a < x2 <= 0, and 1/Gamma is finite there: 0 at the pole x2 = 0
+            ratio = math.gamma(x1) * float(rgamma(x2))
         return ratio - kill
 
     def inverse_tail(self, w):
@@ -720,18 +729,9 @@ class TiltedTail(LevyTail):
         shifted = lam + self.rho
         part = self.base.laplace_closed(shifted)
         if part is None:
-            if shifted <= -_base_decay_bound(self.base):
+            if shifted <= -self.base.decay_index():
                 return None
-            part, _ = integrate(
-                QuadratureRequest(
-                    lambda u: shifted * np.exp(-shifted * u) * self.base.tail_many(u),
-                    0.0,
-                    np.inf,
-                    _QUAD_REL,
-                    _QUAD_ABS,
-                    self.base.kernel_singularity(),
-                )
-            )
+            part = shifted * self.base.laplace_integral(shifted)
         return lam * (part + self.kill_base) / (lam + self.rho)
 
     def probe_x(self):
@@ -744,11 +744,6 @@ class TiltedTail(LevyTail):
             "kill_base": self.kill_base,
             "base": self.base.to_dict(),
         }
-
-
-def _base_decay_bound(tail: LevyTail) -> float:
-    idx = tail.decay_index()
-    return idx if np.isfinite(idx) else math.inf
 
 
 _VARIANTS = {

@@ -89,23 +89,39 @@ def _ratio_report(name, probes, measured, oracle_value, threshold, source, extra
     )
 
 
-def _lowest_mids(density: StepDensity, count: int = 12, require_deep: bool = False):
+def _lowest_mids(density: StepDensity, count: int = 12):
     """Probe cells for x -> 0 extrapolations: the lowest decade of the grid
-    (or at least the lowest ``count`` cells).  ``require_deep`` additionally
-    demands 8 cells below x_max/100, the condition for the small-x ratio
-    law to be observable at all."""
+    (or at least the lowest ``count`` cells)."""
     grid = density.grid
-    mids = np.sqrt(grid.nodes[:-1] * grid.nodes[1:])
-    if require_deep and np.count_nonzero(mids <= grid.x_max * 1e-2) < 8:
-        raise InsufficientGrid(
-            "need at least 8 cells below x_max/100 for a limit extrapolation"
-        )
-    if grid.n_cells < 8:
-        raise InsufficientGrid("need at least 8 cells for a limit extrapolation")
+    mids = grid.midpoints
     decade = np.nonzero(mids <= 10.0 * grid.x0)[0]
     pool = decade if decade.size >= 8 else np.arange(min(max(8, count), grid.n_cells))
     sel = pool[np.unique(np.linspace(0, pool.size - 1, min(count, pool.size)).astype(int))]
     return mids, sel
+
+
+def _tail_at_lowest(spec: SubordinatorSpec, density: StepDensity):
+    """The probe cells of the x -> 0 ratio laws and Pibar(log(1/x)) at their
+    midpoints x, which the laws divide by.  Raises InsufficientGrid unless
+    8 cells lie below x_max/100 (else the law is not observable at all),
+    every probe lies below x = 1 and Pibar is a normal double there."""
+    mids, sel = _lowest_mids(density)
+    if np.count_nonzero(mids <= density.grid.x_max * 1e-2) < 8:
+        raise InsufficientGrid(
+            "need at least 8 cells below x_max/100 for a limit extrapolation"
+        )
+    if mids[sel][-1] >= 1.0:
+        raise InsufficientGrid(
+            f"the probe cells reach x = {mids[sel][-1]:.3g}, but Pibar(log(1/x)) "
+            "needs x < 1: use more cells, so that the grid reaches below x = 1"
+        )
+    tail = spec.tail.tail_many(np.log(1.0 / mids[sel]))
+    if np.any(tail < np.finfo(float).tiny):
+        raise InsufficientGrid(
+            f"Pibar(log(1/x)) = {float(np.min(tail)):.3g} at x = {mids[sel][0]:.3g} "
+            "is not a normal double: the ratio law cannot be observed on this grid"
+        )
+    return mids, sel, tail
 
 
 def small_x_ratio_check(
@@ -124,9 +140,9 @@ def small_x_ratio_check(
     alpha, _ = class_index(spec.tail)
     if not np.isfinite(alpha):
         raise DomainError("tail decays faster than every exponential; no ratio law")
-    mids, sel = _lowest_mids(density, require_deep=True)
+    mids, sel, tail = _tail_at_lowest(spec, density)
     xs = mids[sel]
-    ratios = density.heights[sel] / spec.tail.tail_many(np.log(1.0 / xs))
+    ratios = density.heights[sel] / tail
     nm = negative_moment(spec, alpha, density=density)
     source = (
         "moment recursion"
@@ -168,10 +184,10 @@ def dual_large_x_check(
         raise DomainError("tail decays faster than every exponential; no ratio law")
     nm = negative_moment(spec, alpha, density=density)
     target = qstar * nm.value
-    mids, sel = _lowest_mids(density, require_deep=True)
+    mids, sel, tail = _tail_at_lowest(spec, density)
     k_dual = dual_transform(density, qstar)
     xs_dual = 1.0 / mids[sel]
-    ratios = xs_dual * k_dual(xs_dual) / spec.tail.tail_many(np.log(xs_dual))
+    ratios = xs_dual * k_dual(xs_dual) / tail
     source = (
         "dual exponent and moment recursion"
         if nm.provenance == "recursion"
@@ -244,7 +260,7 @@ def tilt_consistency(
     )
     tilted = solve(tilted_spec, tilted_grid)
 
-    mids = np.sqrt(base_grid.nodes[:-1] * base_grid.nodes[1:])
+    mids = base_grid.midpoints
     # normalize by the gap-inclusive moment so both routes carry the same
     # left-gap convention
     reweighted = mids**rho * base.heights / base.moment_of(rho)
@@ -289,15 +305,13 @@ def renewal_check(
     integrand is u_q, not the kernel, and it never reads the weights W_m.
     """
     grid = density.grid
-    nodes = grid.nodes
-    mids = np.sqrt(nodes[:-1] * nodes[1:])
+    mids = grid.midpoints
     cdf_vals = density.cdf(mids)
     sel = np.nonzero((cdf_vals > 0.02) & (cdf_vals < 0.9))[0]
     if not sel.size:
         sel = np.arange(grid.n_cells // 2)
     measured = _sums_above_midpoints(renewal_density, density, uq_singularity)[sel]
-    survival = density.heights * (nodes[1:] - mids) + density._suffix_mass[1:]
-    oracle = survival[sel]
+    oracle = density.survival(mids[sel])
     stat = float(np.max(np.abs(measured - oracle)))
     return ValidationReport(
         name="renewal-measure consistency",

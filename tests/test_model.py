@@ -104,6 +104,62 @@ def test_laplace_domain_errors():
     assert a < 0
 
 
+def test_lamperti_laplace_at_the_gamma_pole():
+    # survey spec 180: at lam = 1 - beta/a, the last step of the negative
+    # moment recursion, a(lam - 1) + beta rounds to exactly 0, where
+    # 1/Gamma vanishes and phi = -Gamma(beta)/Gamma(beta - a)
+    tail = LampertiKilledTail(0.09454478694094556, 1.433876264670067)
+    lam = 1.0 - tail.beta / tail.a
+    assert tail.a * (lam - 1.0) + tail.beta == 0.0
+    kill = math.gamma(tail.beta) / math.gamma(tail.beta - tail.a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        at_pole = tail.laplace_closed(lam)
+        assert at_pole == pytest.approx(-kill, rel=1e-14)
+        for side in (-1e-9, 1e-9):
+            assert tail.laplace_closed(lam + side) == pytest.approx(at_pole, rel=1e-8)
+        spec = SubordinatorSpec(0.0, 0.0, tail)
+        quadrature = laplace_exponent(spec, lam, method="quadrature")
+    assert laplace_exponent(spec, lam) == at_pole
+    assert quadrature == pytest.approx(at_pole, rel=1e-7)
+
+
+def tabulated_exponential(rate):
+    """Knots on 2 e**(-rate z): Pibar is 2 e**(-rate z) above z = 0.05 (the
+    fitted decay is exact) and 2 e**(-0.05 rate) below it."""
+    return TabulatedTail(tuple((z, 2.0 * math.exp(-rate * z)) for z in (0.05, 0.5, 1.0, 2.0, 3.0)))
+
+
+def tabulated_exponential_integral(rate, lam):
+    """Integral of exp(-lam u) Pibar(u) over (0, inf) for the tail above."""
+    head = 2.0 * math.exp(-0.05 * rate) * -math.expm1(-0.05 * lam) / lam
+    return head + 2.0 * math.exp(-0.05 * (rate + lam)) / (rate + lam)
+
+
+def test_laplace_integral_for_negative_lam_does_not_overflow():
+    # exp(7.5 u) overflows near u = 95, where Pibar has long underflowed to 0
+    # but the integrand, 2 e**(-u), has not
+    tail = tabulated_exponential(8.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = laplace_exponent(SubordinatorSpec(0.0, 0.0, tail), -7.5) / -7.5
+        # the tilt's quadrature at lam + rho = -7
+        tilted = rho_tilt(SubordinatorSpec(0.0, 0.0, tail), 1.0)
+        tilted_phi = laplace_exponent(tilted, -8.0)
+    assert got == pytest.approx(tabulated_exponential_integral(8.5, -7.5), rel=1e-9)
+    expected = -8.0 * -7.0 * tabulated_exponential_integral(8.5, -7.0) / -7.0
+    assert tilted_phi == pytest.approx(expected, rel=1e-9)
+
+
+def test_laplace_integral_at_zero_is_the_tail_integral():
+    # lam = 0 integrates Pibar itself: mean_jump and small_jump_mean read it
+    tail = tabulated_exponential(8.5)
+    assert tail.laplace_integral(0.0) == tail.mean_jump()
+    head = 0.05 * 2.0 * math.exp(-0.425)
+    assert tail.mean_jump() == pytest.approx(head + 2.0 * math.exp(-0.425) / 8.5, rel=1e-9)
+    assert tail.laplace_integral(0.0, 0.05) == pytest.approx(head, rel=1e-12)
+
+
 def test_positive_moments_uniform():
     ms = positive_moments(UNIFORM, 3)
     assert ms.value(0) == 1.0

@@ -19,6 +19,7 @@ from expfun.solver import (
     kernel_weights,
     residual,
     solve,
+    sweep_inputs,
 )
 from expfun.tails import (
     CompoundPoissonExpTail,
@@ -261,14 +262,11 @@ def reference_back_substitute(nodes, widths, weights, denoms, q, start):
     return y
 
 
-def sweep_inputs(spec, grid):
-    """The arguments ``solve`` hands to the sweep, with its layer rule."""
+def sweep_args(spec, grid):
+    """The arguments ``solve`` hands to the sweep."""
     weights = kernel_weights(spec, grid).values
-    nodes, widths = grid.nodes, grid.widths
-    denoms = 1.0 - spec.drift * nodes[:-1] - nodes[:-1] * weights[0] - spec.kill * widths
-    bad = np.nonzero(denoms[: grid.n_cells - 1] <= 0.0)[0]
-    start = grid.n_cells - 1 if not bad.size else int(bad[0]) - 1
-    return nodes, widths, weights, denoms, spec.kill, start
+    denoms, start = sweep_inputs(spec, grid, weights)
+    return grid.nodes, grid.widths, weights, denoms, spec.kill, start
 
 
 def assert_sweep_matches_reference(args):
@@ -284,7 +282,7 @@ def assert_sweep_matches_reference(args):
 @pytest.mark.parametrize("recipe", sorted(p.stem for p in RECIPES.glob("*.json")))
 def test_sweep_matches_loop_on_recipes(recipe):
     spec = load_spec(RECIPES / f"{recipe}.json")
-    assert_sweep_matches_reference(sweep_inputs(spec, build_grid(spec, 0.998, 4500)))
+    assert_sweep_matches_reference(sweep_args(spec, build_grid(spec, 0.998, 4500)))
 
 
 def test_sweep_guard_near_the_origin():
@@ -293,7 +291,7 @@ def test_sweep_guard_near_the_origin():
     # they are off by far more than 1e-12
     spec = load_spec(RECIPES / "stretched_exp_n3.json")
     grid = build_grid(spec, math.exp(4500 * math.log(0.998) / 9000), 9000)
-    assert_sweep_matches_reference(sweep_inputs(spec, grid))
+    assert_sweep_matches_reference(sweep_args(spec, grid))
 
 
 # the boundaries of the sweep's leaves and of 64-row ones, which for a
@@ -311,7 +309,7 @@ def test_sweep_matches_loop_at_leaf_boundaries(rows, layer, kill):
     n_cells = rows + layer
     # the span of the dense-solve test below, where every diagonal is positive
     grid = GeometricGrid(2.0, math.exp(60 * math.log(0.95) / n_cells), n_cells)
-    args = list(sweep_inputs(spec, grid))
+    args = list(sweep_args(spec, grid))
     assert args[-1] == n_cells - 1
     args[-1] -= layer  # pin ``layer`` top cells to zero
     assert_sweep_matches_reference(args)
@@ -322,11 +320,9 @@ def test_sweep_matches_dense_solve(layer):
     spec = SubordinatorSpec(0.0, 0.5, GammaExpTail(1.0, 1.5, 2.0))
     # x_max kept small so that every diagonal is positive on this coarse grid
     grid = GeometricGrid(2.0, 0.95, 60)
-    weights = kernel_weights(spec, grid).values
-    nodes, widths = grid.nodes, grid.widths
-    denoms = 1.0 - nodes[:-1] * weights[0] - spec.kill * widths
+    nodes, widths, weights, denoms, _, start = sweep_args(spec, grid)
     assert np.all(denoms > 0)
-    start = grid.n_cells - 1 - layer
+    start -= layer
     y = back_substitute(nodes, widths, weights, denoms, spec.kill, start)
     assert np.all(y[start + 1 :] == 0.0)
     ref = dense_sweep_reference(nodes, widths, weights, denoms, spec.kill, start)
@@ -360,7 +356,7 @@ SURVEY_SWEEPS = [
 
 @pytest.mark.parametrize("spec", SURVEY_SWEEPS, ids=[0, 6, 7, 14, 17, 25, 36, 66])
 def test_sweep_matches_loop_on_survey_specs(spec):
-    args = sweep_inputs(spec, build_grid(spec, 0.998, 4500))
+    args = sweep_args(spec, build_grid(spec, 0.998, 4500))
     # the last leaf is a partial one
     assert (args[-1] + 1) % _LEAF != 0
     assert_sweep_matches_reference(args)
@@ -492,6 +488,27 @@ def test_evaluate_and_survival(uniform_density):
         d.survival(-1.0)
 
 
+def test_survival_is_vectorised(gamma_density):
+    d = gamma_density
+    nodes = d.grid.nodes
+    xs = np.concatenate([[0.5 * d.grid.x0, d.grid.x0], d.grid.midpoints[::97], nodes[1::131],
+                         [d.grid.x_max]])
+    got = d.survival(xs)
+    assert got.shape == xs.shape
+    assert np.array_equal(got, [d.survival(float(x)) for x in xs])
+    # the step function's integral over (x, x_max], cell by cell
+    cells = np.minimum(np.searchsorted(nodes, xs, side="right") - 1, d.grid.n_cells - 1)
+    above = [np.dot(d.heights[k + 1 :], d.grid.widths[k + 1 :]) for k in cells]
+    direct = d.heights[cells] * (nodes[cells + 1] - xs) + above
+    inside = (xs > d.grid.x0) & (xs < d.grid.x_max)
+    assert np.allclose(got[inside], direct[inside], rtol=1e-12, atol=0.0)
+    assert np.all(got[xs <= d.grid.x0] == d.covered_mass)
+    assert got[-1] == 0.0
+    assert d.survival(d.grid.midpoints).shape == (d.grid.n_cells,)
+    with pytest.raises(DomainError):
+        d.survival(np.array([0.5, -1.0]))
+
+
 def test_cdf_continuity_and_range(uniform_density):
     d = uniform_density
     xs = np.linspace(1e-6, 1.0, 777)
@@ -562,7 +579,7 @@ def reference_residuals(spec, density, cells):
             vals, _ = integrate_cells(g, edges, 1e-8, 1e-14, p_first=p)
             kernel_part = float(np.dot(vals, density.heights[k:]))
         partial = density.heights[k] * (nodes[k + 1] - x_p)
-        rhs = kernel_part + spec.kill * (partial + float(density._suffix_mass[k + 1]))
+        rhs = kernel_part + spec.kill * (partial + float(density.survival(nodes[k + 1])))
         out.append(abs(lhs - rhs))
     return np.array(out)
 

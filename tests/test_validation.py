@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,28 @@ def test_insufficient_grid():
     dens = solve(GHALF, build_grid(GHALF, 0.995, 800))
     with pytest.raises(InsufficientGrid):
         small_x_ratio_check(GHALF, dens)
+
+
+@pytest.mark.parametrize(
+    "spec, cells, reason",
+    [
+        # decay index 91: Pibar(log 1/x) underflows to 0 in the lowest decade
+        (SubordinatorSpec(1.0, 0.0, LampertiKilledTail(0.0546875, 5.0)), 562, "normal double"),
+        # x_max = 1551 puts the lowest decade at 0.19 < x < 1.9, where
+        # log(1/x) < 0 lies outside the tail's domain
+        (SubordinatorSpec(0.0, 0.0, LampertiKilledTail(0.05, 0.994)), 4500, "x < 1"),
+    ],
+    ids=["underflow", "above_one"],
+)
+def test_ratio_checks_need_a_representable_tail(spec, cells, reason):
+    # found with the draw of tests/test_properties.py: both raised a
+    # RuntimeWarning; the grids span the survey's log-range
+    dens = solve(spec, build_grid(spec, 0.998 ** (4500 / cells), cells))
+    for check in (small_x_ratio_check, dual_large_x_check):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InsufficientGrid, match=reason):
+                check(spec, dens)
 
 
 def test_q_limit_uniform(uniform_density):
@@ -222,8 +245,7 @@ def test_renewal_matches_per_probe_reference(monkeypatch, spec, delta, renewal_d
     monkeypatch.undo()
     assert tables == [renewal_density]
     assert rep.passed, rep.summary()
-    nodes = density.grid.nodes
-    mids = np.sqrt(nodes[:-1] * nodes[1:])
+    mids = density.grid.midpoints
     cells = np.searchsorted(mids, rep.probes)
     assert np.array_equal(mids[cells], rep.probes)
     # the window holds every cell with 0.02 < F < 0.9
