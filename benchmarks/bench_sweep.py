@@ -50,13 +50,15 @@ STAGES = (
 )
 
 
-def loop_sweep(nodes, widths, weights, denoms, q, start):
+def loop_sweep(nodes, widths, weights, denoms, q, start, top):
     """The row-by-row O(N^2) sweep: one dot product per row."""
     y = np.zeros(widths.shape[0])
     y[start] = 1.0
     suffix = y[start] * widths[start]
     for n in range(start - 1, -1, -1):
-        kernel = nodes[n] * np.dot(y[n + 1 : start + 1], weights[1 : start - n + 1])
+        kernel = nodes[n] * (
+            np.dot(y[n + 1 : start + 1], weights[1 : start - n + 1]) + top[n] * y[start]
+        )
         y[n] = (kernel + q * suffix) / denoms[n]
         suffix += y[n] * widths[n]
     return y
@@ -65,9 +67,7 @@ def loop_sweep(nodes, widths, weights, denoms, q, start):
 def sweep_args(spec, n_cells):
     """The arguments ``solve`` hands to the sweep."""
     grid = ef.build_grid(spec, math.exp(-SPAN / n_cells), n_cells)
-    weights = ef.kernel_weights(spec, grid).values
-    denoms, start = sweep_inputs(spec, grid, weights)
-    return grid.nodes, grid.widths, weights, denoms, spec.kill, start
+    return sweep_inputs(spec, grid, ef.kernel_weights(spec, grid))
 
 
 def sweep_table(repeats: int) -> dict:
@@ -92,7 +92,7 @@ def sweep_table(repeats: int) -> dict:
                 "relaxed_s": statistics.median(fft_s),
                 "max_rel_diff": float(np.max(np.abs(y[pos] / ref[pos] - 1.0))),
                 "guard_rows": recomputed,
-                "rows": args[-1] + 1,
+                "rows": args[5] + 1,
             })
             print(path.stem, rows[-1], flush=True)
         table[path.stem] = rows

@@ -67,13 +67,12 @@ def per_cell_weights(spec, grid) -> ef.KernelWeights:
     """The kernel weights from the 15-point Kronrod rule on every cell."""
     tail = spec.tail
     if isinstance(tail, ef.ZeroTail):
-        return ef.KernelWeights(np.zeros(grid.n_cells), np.zeros(grid.n_cells))
+        return ef.KernelWeights(*np.zeros((3, grid.n_cells)))
     edges = grid.log_step * np.arange(grid.n_cells + 1)
-    vals, errs = numerics.integrate_cells(
+    return ef.KernelWeights(*numerics.integrate_cells(
         lambda u: tail.tail_many(u) * np.exp(u),
         edges, 1e-9, 1e-15, p_first=tail.kernel_singularity(),
-    )
-    return ef.KernelWeights(vals, errs)
+    ))
 
 
 @contextmanager

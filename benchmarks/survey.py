@@ -95,9 +95,7 @@ def check_outcomes(spec, density):
     message of each error that is not an ExpfunError}) over the checks of
     ``expfun validate`` and, for q = 0, the dual's ratio law."""
     checks = {
-        "moments": lambda: ef.moment_agreement_check(
-            spec, density, threshold=max(5e-3, 10.0 * density.grid.log_step)
-        ),
+        "moments": lambda: ef.moment_agreement_check(spec, density, threshold=5e-3),
         "limit": lambda: limit_check(spec, density),
     }
     if spec.kill == 0:

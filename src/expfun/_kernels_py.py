@@ -2,18 +2,21 @@
 
 Row n of the system is
 
-    denoms[n] y[n] = x_n sum_{m>=1} W_m y[n+m] + q sum_{j>n} w_j y[j].
+    denoms[n] y[n] = x_n (sum_{m>=1} W_m y[n+m] + top[n] y[start])
+                     + q sum_{j>n} w_j y[j].
 
 In the reversed index r = start - n the kernel part is a causal
-convolution of the heights with the weights.  The sweep solves it by the
-relaxed (online) convolution of Hairer, Lubich & Schlichte (SIAM J. Sci.
-Stat. Comput. 6, 1985): the rows are cut into leaves of ``_LEAF`` rows,
-each leaf is one BLAS triangular solve (``dtrsv``), and a finished block of
-2**k leaves hands its contribution to the next 2**k leaves in one FFT
-convolution.  O(N log^2 N) operations in all, against O(N^2)
-multiply-adds for the row-by-row loop.  A row whose far-field sum the FFT
-rounding could spoil, such as the tiny heights near x -> 0, is summed
-directly instead (``_GUARD_RTOL``).
+convolution of the values with the weights, plus one known column:
+``top`` holds what the Toeplitz weights cannot, the coupling of every
+row to the node above the top cell, which equals the start node.  The
+sweep solves it by the relaxed (online) convolution of Hairer, Lubich &
+Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985): the rows are cut into
+leaves of ``_LEAF`` rows, each leaf is one BLAS triangular solve
+(``dtrsv``), and a finished block of 2**k leaves hands its contribution
+to the next 2**k leaves in one FFT convolution.  O(N log^2 N) operations
+in all, against O(N^2) multiply-adds for the row-by-row loop.  A row
+whose far-field sum the FFT rounding could spoil, such as the tiny values
+near x -> 0, is summed directly instead (``_GUARD_RTOL``).
 """
 
 import math
@@ -60,21 +63,23 @@ _FFT_ERR = 4.0 * np.finfo(float).eps
 _RESCALE_ABOVE = 2.0**300
 
 
-def back_substitute(nodes, widths, weights, denoms, q, start):
+def back_substitute(nodes, widths, weights, denoms, q, start, top):
     """Solve the homogeneous discrete integral equation from the top down.
 
-    nodes[n] is the left edge of cell n, widths[n] its width, weights[m]
-    the kernel weight for an index offset of m, denoms[n] the diagonal
-    1 - c x_n - x_n W_0 - q w_n.  Cells above ``start`` stay 0.  The
-    system is homogeneous, so the heights are known only up to a positive
-    factor: the sweep starts cell ``start`` at 1 and divides all finished
-    heights by a power of two whenever they pass ``_RESCALE_ABOVE``.
-    Returns the unnormalized heights.
+    nodes[n] is the n-th node, widths[n] the kill term's weight of y[n],
+    weights[m] the kernel weight for an index offset of m, denoms[n] the
+    diagonal and top[n] the kernel weight of y[start] in row n on top of
+    weights[start - n] (:func:`expfun.solver.sweep_inputs` builds them
+    all).  Nodes above ``start`` stay 0.  The system is homogeneous, so
+    the values are known only up to a positive factor: the sweep starts
+    node ``start`` at 1 and divides all finished values by a power of two
+    whenever they pass ``_RESCALE_ABOVE``.  Returns the unnormalized
+    values.
     """
-    return relaxed_sweep(nodes, widths, weights, denoms, q, start)[0]
+    return relaxed_sweep(nodes, widths, weights, denoms, q, start, top)[0]
 
 
-def relaxed_sweep(nodes, widths, weights, denoms, q, start):
+def relaxed_sweep(nodes, widths, weights, denoms, q, start, top):
     """``back_substitute`` plus the number of rows whose far-field sum the
     accuracy guard recomputed directly."""
     rows = start + 1
@@ -86,7 +91,10 @@ def relaxed_sweep(nodes, widths, weights, denoms, q, start):
     w = widths[start::-1]
     x = nodes[start::-1].copy()
     d = denoms[start::-1].copy()
-    far = np.zeros(rows)  # kernel sum over the rows of earlier leaves
+    # kernel sum over the rows of earlier leaves, starting with the known
+    # column times z_0 = 1
+    known = top[start::-1]
+    far = known.copy()
     err = np.zeros(rows)  # bound on the FFT rounding carried in ``far``
     # row 0 has no coupling; a unit diagonal and right-hand side give it
     # the provisional top height z_0 = 1
@@ -116,7 +124,7 @@ def relaxed_sweep(nodes, widths, weights, denoms, q, start):
         if bad.size:
             recent = z[a - 1 :: -1]  # contiguous in y, for a fast dot
             for r in a + bad:
-                far[r] = np.dot(weights[r - a + 1 : r + 1], recent)
+                far[r] = np.dot(weights[r - a + 1 : r + 1], recent) + known[r] * z[0]
             recomputed += bad.size
             zb = dtrsv(mat.T, x[a:b] * far[a:b] + q * prefix, lower=0, trans=1)
         z[a:b] = zb

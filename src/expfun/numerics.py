@@ -15,6 +15,8 @@ Four building blocks used throughout the package:
 The first two use one rule pair, the 7-point Gauss rule nested in the
 15-point Kronrod rule: the 15 samples of a segment give its K15 value
 and, from the 7 Gauss nodes among them, the error estimate |K15 - G7|.
+The cell integrators also return each cell's first moment, the integral
+of f(u) (u - lo)/(hi - lo), from the same samples.
 
 All integrands must accept numpy arrays and evaluate elementwise.
 """
@@ -70,6 +72,9 @@ _XK = np.concatenate([-_KRONROD_NODES_HALF[:-1], _KRONROD_NODES_HALF[::-1]])
 _WK = np.concatenate([_KRONROD_WEIGHTS_HALF[:-1], _KRONROD_WEIGHTS_HALF[::-1]])
 # The G7 nodes are the odd-indexed Kronrod nodes _XK[1::2].
 _WG = np.concatenate([_GAUSS7_WEIGHTS_HALF[:-1], _GAUSS7_WEIGHTS_HALF[::-1]])
+# K15 weights of a segment's first moment: f(u) (u - lo)/(hi - lo) at the
+# Kronrod nodes, where (u - lo)/(hi - lo) = (1 + x)/2
+_WK_FIRST = _WK * 0.5 * (1.0 + _XK)
 
 _MAX_PANELS = 4096
 _MAX_DOUBLINGS = 64
@@ -78,23 +83,32 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
-def _panel_rule(cells: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes t_j on [-1, 1] and the (cells + 2) x nodes
+def _panel_rule(cells: int, nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes t_j on [-1, 1], the (cells + 2) x nodes
     matrix that takes the samples f(t_j) to the integrals of their
     interpolating polynomial over the ``cells`` equal parts of [-1, 1]
     (first ``cells`` rows) and to its two highest Legendre coefficients
-    (last two rows).
+    (last two rows), and the cells x nodes matrix that takes them to the
+    interpolant's first moments, the integrals of p(t) (t - a)/(b - a) over
+    each part [a, b].
 
     The ``nodes``-point rule integrates P_k P_l exactly for k + l below
     2 nodes, so c_k = (k + 1/2) sum_j w_j P_k(t_j) f(t_j) are the
     interpolant's Legendre coefficients; the integral of P_k over a part
-    is a difference of its antiderivative at the part's ends.
+    is a difference of its antiderivative at the part's ends.  A first
+    moment has degree ``nodes``, which nodes // 2 + 1 Gauss points on each
+    part integrate exactly; the weight (t - a)/(b - a) is then 0 to 1 at
+    every point, so no digits cancel.
     """
     t, w = legendre.leggauss(nodes)
     to_coef = (np.arange(nodes) + 0.5)[:, None] * (legendre.legvander(t, nodes - 1) * w[:, None]).T
     ends = np.linspace(-1.0, 1.0, cells + 1)
     parts = np.diff(legendre.legval(ends, legendre.legint(np.eye(nodes))), axis=1).T
-    return t, np.vstack([parts @ to_coef, to_coef[-2:]])
+    tq, wq = legendre.leggauss(nodes // 2 + 1)
+    half = 1.0 / cells
+    basis = legendre.legvander((ends[:-1] + half)[:, None] + half * tq, nodes - 1)
+    first = half * np.einsum("q,cqk->ck", wq * 0.5 * (1.0 + tq), basis) @ to_coef
+    return t, np.vstack([parts @ to_coef, to_coef[-2:]]), first
 
 
 # The panel rule of ``integrate_uniform_cells``.  On the kernel path f's
@@ -113,7 +127,7 @@ def _panel_rule(cells: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
 _PANEL_CELLS = 32
 _PANEL_NODES = 20
 _PANEL_HEAD = 2 * _PANEL_CELLS
-_PANEL_T, _PANEL_MATRIX = _panel_rule(_PANEL_CELLS, _PANEL_NODES)
+_PANEL_T, _PANEL_MATRIX, _PANEL_FIRST = _panel_rule(_PANEL_CELLS, _PANEL_NODES)
 
 
 @dataclass(frozen=True)
@@ -276,7 +290,7 @@ def integrate_cells(
     rel_tol: float = 1e-9,
     abs_tol: float = 1e-14,
     p_first: Optional[float] = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate ``f`` over every segment [edges[k], edges[k+1]] at once.
 
     Runs the G7/K15 Gauss-Kronrod pair on all segments in one batched
@@ -285,7 +299,9 @@ def integrate_cells(
     to the scalar adaptive routine.  ``p_first`` marks an algebraic
     singularity of ``f`` at ``edges[0]`` and routes the first segment
     through the desingularizing substitution.  Returns (values, error
-    estimates).
+    estimates, first moments), the first moment of a segment [lo, hi]
+    being the integral of f(u) (u - lo)/(hi - lo): the K15 rule on the
+    same samples, or one more adaptive call where the value fell back.
 
     A passing segment's estimate adds to |K15 - G7|, which can be 0 on a
     smooth segment, the rounding floor of :func:`integrate_uniform_cells`:
@@ -300,6 +316,7 @@ def integrate_cells(
     half = 0.5 * (his - los)
     g7_sums, k15_sums, fx = _rule_sums(f, los, his)
     vals = half * k15_sums
+    moments = half * (fx @ _WK_FIRST)
     diffs = np.abs(vals - half * g7_sums)
     ok = diffs <= np.maximum(rel_tol * np.abs(vals), abs_tol)
     f_max = np.max(np.abs(fx), axis=1)
@@ -308,10 +325,13 @@ def integrate_cells(
         ok[0] = False
     for k in np.nonzero(~ok)[0]:
         p = p_first if k == 0 else None
-        vals[k], errs[k] = integrate(
-            QuadratureRequest(f, float(los[k]), float(his[k]), rel_tol, max(abs_tol, 1e-300), p)
+        lo, hi = float(los[k]), float(his[k])
+        tol = max(abs_tol, 1e-300)
+        vals[k], errs[k] = integrate(QuadratureRequest(f, lo, hi, rel_tol, tol, p))
+        moments[k], _ = integrate(
+            QuadratureRequest(lambda u: f(u) * ((u - lo) / (hi - lo)), lo, hi, rel_tol, tol, p)
         )
-    return vals, errs
+    return vals, errs, moments
 
 
 def integrate_uniform_cells(
@@ -321,14 +341,15 @@ def integrate_uniform_cells(
     rel_tol: float = 1e-9,
     abs_tol: float = 1e-14,
     p_first: Optional[float] = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate ``f`` over the cells [m step, (m+1) step], m < ``n_cells``.
 
     Past a head of ``_PANEL_HEAD`` cells, each whole panel of
     ``_PANEL_CELLS`` cells samples f at ``_PANEL_NODES`` Gauss-Legendre
-    nodes and takes its cell integrals from the interpolating polynomial,
-    through one fixed matrix (the cells are equal, so every panel shares
-    it).  A panel's error estimate, the same on each of its cells, is
+    nodes and takes its cell integrals, and the cells' first moments,
+    from the interpolating polynomial, through two fixed matrices (the
+    cells are equal, so every panel shares them).  A panel's error
+    estimate, the same on each of its cells, is
 
     * truncation: 2 max(|c_{K-1}|, |c_{K-2}|) times the cell width, from
       the interpolant's two highest Legendre coefficients.  While the
@@ -352,11 +373,13 @@ def integrate_uniform_cells(
     or has a non-finite sample, the head (which holds the ``p_first``
     singularity at 0) and the cells past the last whole panel go through
     :func:`integrate_cells`, one call per run of adjacent cells.  Returns
-    (values, error estimates).
+    (values, error estimates, first moments), the first moment of cell m
+    being the integral of f(u) (u - m step)/step over it.
     """
     edges = step * np.arange(n_cells + 1)
     vals = np.empty(n_cells)
     errs = np.empty(n_cells)
+    moments = np.empty(n_cells)
     covered = np.zeros(n_cells, dtype=bool)
     n_panels = max(n_cells - _PANEL_HEAD, 0) // _PANEL_CELLS
     if n_panels:
@@ -377,14 +400,15 @@ def integrate_uniform_cells(
         )
         vals[_PANEL_HEAD:stop] = cells.ravel()
         errs[_PANEL_HEAD:stop] = np.repeat(est, _PANEL_CELLS)
+        moments[_PANEL_HEAD:stop] = (half[:, None] * (fx @ _PANEL_FIRST.T)).ravel()
         covered[_PANEL_HEAD:stop] = np.repeat(ok, _PANEL_CELLS)
     # the runs of uncovered cells start and stop where ``covered`` flips
     flips = np.flatnonzero(np.diff(np.concatenate([[True], covered, [True]])))
     for lo, hi in zip(flips[::2], flips[1::2]):
-        vals[lo:hi], errs[lo:hi] = integrate_cells(
+        vals[lo:hi], errs[lo:hi], moments[lo:hi] = integrate_cells(
             f, edges[lo : hi + 1], rel_tol, abs_tol, p_first if lo == 0 else None
         )
-    return vals, errs
+    return vals, errs, moments
 
 
 def extrapolate_limit(samples: Sequence[tuple[float, float]]) -> tuple[float, float]:

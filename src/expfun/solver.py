@@ -5,17 +5,25 @@ The density k of the exponential functional solves
     (1 - c x) k(x) = integral over (x, inf) of Pibar(log(y/x)) k(y) dy
                      + q * integral over (x, inf) of k(y) dy
 
-on (0, 1/c).  On the geometric grid x_n = x_max * delta**(N-n) the kernel
-integral against a step function collapses to weights that depend only on
-index differences, W_m = integral of Pibar(u) e**u du over (mL, (m+1)L)
-with L = -log delta, so a single back-substitution sweep solves the whole
-homogeneous system; the scale is fixed by normalization.  The cells in u
-are equal, so ``kernel_weights`` takes the W_m of each panel of 32 cells
-from one polynomial through 20 tail samples, and reserves Gauss-Kronrod
-for the cells next to the u = 0 singularity and for panels that miss the
-tolerance (``numerics.integrate_uniform_cells``).  The sweep is a
-causal convolution of the heights with the W_m; ``backend.back_substitute``
-runs it as a relaxed FFT convolution in O(N log^2 N) operations.
+on (0, 1/c).  The scheme is product integration for weakly singular
+Volterra kernels (Brunner, *Collocation Methods for Volterra Integral and
+Related Functional Equations*, 2004).  On the geometric grid
+x_n = x_max * delta**(N-n), with L = -log delta, k is linear in log x on
+each cell between its node values g_n, and the equation holds at every
+node.  The kernel integral against such a function collapses to weights
+that depend only on index differences: W_m, the integral of
+Pibar(u) e**u du over (mL, (m+1)L), and V_m, the same with the weight
+(u - mL)/L.  So a single back-substitution sweep solves the whole
+homogeneous system (``sweep_inputs``); the scale is fixed by
+normalization.  The scheme is second order in L.  The cells in u are
+equal, so ``kernel_weights`` takes the W_m and V_m of each panel of 32
+cells from one polynomial through 20 tail samples, and reserves
+Gauss-Kronrod for the cells next to the u = 0 singularity and for panels
+that miss the tolerance (``numerics.integrate_uniform_cells``).  The
+sweep is a causal convolution of the node values with the weights;
+``backend.back_substitute`` runs it as a relaxed FFT convolution in
+O(N log^2 N) operations.  ``solve`` hands on one height per cell, the
+mean of k over it, so every reader of the density sees a step function.
 
 Two departures from the naive discretisation matter in practice and are
 documented on the fields they feed:
@@ -23,10 +31,10 @@ documented on the fields they feed:
 * the mass below the first node x_0 > 0 is estimated by extrapolating the
   lowest cells with a power law and enters the normalization, the moments
   and the distribution function (``left_gap_mass_bound``);
-* when the drift makes the support end at 1/c and the kernel is singular,
-  the diagonal 1 - c x_n - x_n W_0 - q w_n turns negative over a thin
-  boundary layer of top cells where the true density is vanishingly
-  small; those cells are pinned to zero and the sweep starts below them
+* when the drift makes the support end at 1/c, the diagonal
+  1 - c x_n - x_n (W_0 - V_0) - q x_n (E0 - E1) can turn negative over a
+  thin boundary layer of top nodes where the true density is vanishingly
+  small; those nodes are pinned to zero and the sweep starts below them
   (``top_zero_cells``).  A negative diagonal outside such a layer raises
   :class:`DenominatorError`.
 
@@ -87,8 +95,10 @@ class GeometricGrid:
 
     @cached_property
     def midpoints(self) -> np.ndarray:
-        """Geometric cell midpoints sqrt(x_n x_{n+1}), n = 0..n_cells-1."""
-        return np.sqrt(self.nodes[:-1] * self.nodes[1:])
+        """Geometric cell midpoints sqrt(x_n x_{n+1}) = x_n / sqrt(delta),
+        n = 0..n_cells-1; the product x_n x_{n+1} underflows to 0 below
+        x_n ~ 1e-162."""
+        return self.nodes[:-1] / math.sqrt(self.delta)
 
     @property
     def log_step(self) -> float:
@@ -101,10 +111,13 @@ class GeometricGrid:
 
 @dataclass(frozen=True, eq=False)
 class KernelWeights:
-    """W_m = integral of Pibar(u) e**u du over (m L, (m+1) L)."""
+    """W_m = integral of Pibar(u) e**u du over (m L, (m+1) L) (``values``)
+    and V_m, the same integral with the weight (u - m L)/L
+    (``first_moments``)."""
 
     values: np.ndarray
     error_estimates: np.ndarray
+    first_moments: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -152,7 +165,9 @@ class GapModel:
 class StepDensity:
     """Piecewise-constant density on a geometric grid.
 
-    ``heights[n]`` is the density value on [x_n, x_{n+1}).  The step
+    ``heights[n]`` is the density's mean over [x_n, x_{n+1}): the solve
+    finds k linear in log x on each cell, and the step function of its
+    cell means has the same integral over every cell.  The step
     function integrates to ``covered_mass`` = 1 - ``left_gap_mass_bound``;
     the gap term is the mass of the fitted :class:`GapModel` on (0, x_0),
     so that total mass is exactly 1.  ``moment_of`` and ``cdf`` include
@@ -274,23 +289,24 @@ def build_grid(
 
 
 def kernel_weights(spec: SubordinatorSpec, grid: GeometricGrid) -> KernelWeights:
-    """The N kernel integrals W_m, each to 1e-9 relative or 1e-15 absolute:
-    one interpolating polynomial per panel of 32 cells, and Gauss-Kronrod
-    on the cells next to the u = 0 singularity and on any panel that
-    misses the tolerance (:func:`numerics.integrate_uniform_cells`)."""
+    """The N kernel integrals W_m, each to 1e-9 relative or 1e-15 absolute,
+    and their first moments V_m from the same samples: one interpolating
+    polynomial per panel of 32 cells, and Gauss-Kronrod on the cells next
+    to the u = 0 singularity and on any panel that misses the tolerance
+    (:func:`numerics.integrate_uniform_cells`)."""
     n = grid.n_cells
     if isinstance(spec.tail, ZeroTail):
-        return KernelWeights(np.zeros(n), np.zeros(n))
+        return KernelWeights(np.zeros(n), np.zeros(n), np.zeros(n))
 
     def f(u):
         return spec.tail.tail_many(u) * np.exp(u)
 
-    vals, errs = integrate_uniform_cells(
+    vals, errs, moments = integrate_uniform_cells(
         f, grid.log_step, n, 1e-9, 1e-15, p_first=spec.tail.kernel_singularity()
     )
-    # Pibar >= 0, so W_m >= 0; a panel's polynomial can dip below 0 by a
-    # few subnormals where f underflows
-    return KernelWeights(np.maximum(vals, 0.0), errs)
+    # Pibar >= 0, so W_m >= 0 and V_m >= 0; a panel's polynomial can dip
+    # below 0 by a few subnormals where f underflows
+    return KernelWeights(np.maximum(vals, 0.0), errs, np.maximum(moments, 0.0))
 
 
 def _fit_power_gap(grid: GeometricGrid, heights: np.ndarray):
@@ -316,24 +332,63 @@ def _fit_affine_slope(grid: GeometricGrid, heights: np.ndarray) -> float:
     return float(np.polyfit(mids, heights[:k], 1)[0])
 
 
+def _exp_moments(step: float) -> tuple[float, float]:
+    """E0 = integral of L e**(tL) dt over t in (0, 1), which is e**L - 1,
+    and E1, the same with the weight t, (L e**L - e**L + 1)/L, for L =
+    ``step``.  Below L = 1 the closed form of E1 cancels (it is about
+    L/2), so E1 is summed from its series sum over k >= 0 of
+    L**(k+1) / (k! (k+2)), whose terms are positive."""
+    e0 = math.expm1(step)
+    if step >= 1.0:
+        return e0, (step * math.exp(step) - e0) / step
+    e1, term, k = 0.0, step, 0
+    while term > 1e-17 * e1:
+        e1 += term / (k + 2)
+        k += 1
+        term *= step / k
+    return e0, e1
+
+
 def sweep_inputs(
-    spec: SubordinatorSpec, grid: GeometricGrid, weights: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """The diagonal 1 - c x_n - x_n W_0 - q w_n and the sweep's first row:
-    the top cell, or the cell below a boundary layer where the diagonal is
-    not positive (drift c > 0, first bad node above 0.95 x_max).  A bad
-    diagonal anywhere else raises :class:`DenominatorError`."""
+    spec: SubordinatorSpec, grid: GeometricGrid, weights: KernelWeights
+) -> tuple:
+    """The seven arguments of :func:`backend.back_substitute` for the
+    product-integration system: (nodes, kill widths, kernel weights,
+    diagonal, q, start, top column).
+
+    k is linear in s = log x on each cell, between its node values g_n.
+    With E0, E1 from :func:`_exp_moments`, row n is the equation at x_n:
+
+    * the kernel weights are W~_m = W_m - V_m + V_(m-1) (m >= 1);
+    * the kill widths are w~_j = x_j (E0 - E1) + x_(j-1) E1;
+    * the diagonal is 1 - c x_n - x_n (W_0 - V_0) - q x_n (E0 - E1).
+
+    The sweep starts at the top node N - 1, and the top cell is constant
+    (g_N = g_(N-1)): column N - 1 of the kill term takes x_(N-1) E0 +
+    x_(N-2) E1, and g_N's kernel part is the known column x_n V_(N-1-n).
+    Where the diagonal is not positive (drift c > 0, first bad node above
+    0.95 x_max) the sweep starts below that boundary layer instead, and
+    the nodes above it stay 0.  A bad diagonal anywhere else raises
+    :class:`DenominatorError`.
+    """
     n = grid.n_cells
     nodes = grid.nodes[:-1]
-    denom = 1.0 - spec.drift * nodes - nodes * weights[0] - spec.kill * grid.widths
+    e0, e1 = _exp_moments(grid.log_step)
+    w, v = weights.values, weights.first_moments
+    coupling = w - v
+    coupling[1:] += v[:-1]
+    widths = nodes * (e0 - e1)
+    widths[1:] += nodes[:-1] * e1
+    denom = 1.0 - spec.drift * nodes - nodes * coupling[0] - spec.kill * nodes * (e0 - e1)
     bad = np.nonzero(denom[: n - 1] <= 0.0)[0]
     if not bad.size:
-        return denom, n - 1
+        widths[n - 1] += nodes[n - 1] * e1
+        return nodes, widths, coupling, denom, spec.kill, n - 1, v[::-1].copy()
     first_bad = int(bad[0])
     layer_ok = spec.drift > 0 and nodes[first_bad] > 0.95 * grid.x_max and first_bad >= 1
     if not layer_ok:
         raise DenominatorError(first_bad, float(denom[first_bad]))
-    return denom, first_bad - 1
+    return nodes, widths, coupling, denom, spec.kill, first_bad - 1, np.zeros(n)
 
 
 def solve(
@@ -341,7 +396,8 @@ def solve(
     grid: GeometricGrid,
     weights: KernelWeights | None = None,
 ) -> StepDensity:
-    """Back-substitute the discrete system and normalize to unit mass."""
+    """Back-substitute the discrete system for the node values, take each
+    cell's mean as its height and normalize to unit mass."""
     if isinstance(spec.tail, ZeroTail) and spec.kill == 0:
         raise DomainError(
             "pure drift without killing gives the deterministic value 1/drift; "
@@ -353,11 +409,12 @@ def solve(
         weights = kernel_weights(spec, grid)
     n = grid.n_cells
     w = grid.widths
-    denom, start = sweep_inputs(spec, grid, weights.values)
-    raw = back_substitute(grid.nodes, w, weights.values, denom, spec.kill, start)
+    args = sweep_inputs(spec, grid, weights)
+    start = args[5]
+    raw = back_substitute(*args)
     if not np.all(np.isfinite(raw)):
         k = int(np.nonzero(~np.isfinite(raw))[0][0])
-        raise NonPositive(f"back-substitution produced a non-finite height y[{k}] = {raw[k]}")
+        raise NonPositive(f"back-substitution produced a non-finite value g[{k}] = {raw[k]}")
 
     peak = float(np.max(raw))
     if peak <= 0:
@@ -365,8 +422,14 @@ def solve(
     tiny = raw < 0
     if np.any(raw[tiny] < -1e-12 * peak):
         k = int(np.nonzero(raw < -1e-12 * peak)[0][0])
-        raise NonPositive(f"height y[{k}] = {raw[k]:.3e} is negative")
+        raise NonPositive(f"node value g[{k}] = {raw[k]:.3e} is negative")
     raw[tiny] = 0.0
+    # the mean of k over cell n is g_n (1 - E1/E0) + g_(n+1) E1/E0; g_N is
+    # g_(N-1) (the constant top cell), or 0 above a zeroed layer, where
+    # g_(N-1) is 0 too
+    e0, e1 = _exp_moments(grid.log_step)
+    upper = np.append(raw[1:], raw[-1])
+    raw = raw * (1.0 - e1 / e0) + upper * (e1 / e0)
 
     covered_raw = float(np.dot(raw, w))
     x0 = grid.x0
@@ -401,9 +464,9 @@ def residual_cell_count(grid: GeometricGrid) -> int:
     return math.floor(0.99 * grid.n_cells)
 
 
-def _sums_above_midpoints(f, density: StepDensity, p_first=None) -> np.ndarray:
+def _sums_above_midpoints(f, density: StepDensity, p_first=None, at_midpoint=False) -> np.ndarray:
     """S[k] = integral of f(u) k~(x_p e**u) du over u > 0 at the geometric
-    midpoint x_p of every cell k.
+    midpoint x_p of every cell k, times x_p when ``at_midpoint`` is set.
 
     Seen from x_p = sqrt(x_k x_{k+1}) in u = log(y/x_p), the grid looks the
     same for every k: the rest of cell k is u in (0, L/2) and cell k+m,
@@ -412,25 +475,34 @@ def _sums_above_midpoints(f, density: StepDensity, p_first=None) -> np.ndarray:
     (:func:`numerics.integrate_uniform_cells`, ``p_first`` marking a
     singularity at u = 0) gives V_0 = H_0 and V_m = H_{2m-1} + H_{2m}, and
     S[k] = sum over m of V_m h[k+m] at all N cells is one FFT correlation.
+
+    The FFT's rounding is about eps |V| |h| on every row alike.  Where x_p
+    S[k] is wanted, correlating x_p h with V_m e**(-m L) instead gives it
+    exactly (x_p of cell k+m is x_p of cell k times e**(m L)) and with a
+    rounding that scales with the O(1) sums at the top of the grid, not
+    with the large V_m of a deep grid times its small x_p.
     """
-    n = density.grid.n_cells
-    half, _ = integrate_uniform_cells(
-        f, 0.5 * density.grid.log_step, 2 * n - 1, 1e-8, 1e-14, p_first=p_first
+    grid = density.grid
+    n = grid.n_cells
+    half, _, _ = integrate_uniform_cells(
+        f, 0.5 * grid.log_step, 2 * n - 1, 1e-8, 1e-14, p_first=p_first
     )
     v = np.concatenate([half[:1], half[1::2] + half[2::2]])
+    h = density.heights
+    if at_midpoint:
+        v = v * np.exp(-grid.log_step * np.arange(n))
+        h = grid.midpoints * h
     # zero-padding to 2N keeps the circular correlation from wrapping
     v_hat = np.fft.rfft(v, 2 * n)
-    return np.fft.irfft(np.fft.rfft(density.heights, 2 * n) * np.conj(v_hat), 2 * n)[:n]
+    return np.fft.irfft(np.fft.rfft(h, 2 * n) * np.conj(v_hat), 2 * n)[:n]
 
 
 def _cell_residuals(spec: SubordinatorSpec, density: StepDensity) -> np.ndarray:
     """|(1 - c x) k~(x) - RHS(x)| at the geometric midpoint of every cell
     below the top 1%, with the RHS integrals recomputed by fresh quadrature.
 
-    At the grid nodes the back-substitution enforced the discrete equations
-    exactly, so only off-node points see the discretisation error.  At the
-    midpoint x_p the kernel part of the RHS is x_p times the integral of
-    Pibar(u) e**u k~(x_p e**u) over u > 0, which
+    At the midpoint x_p the kernel part of the RHS is x_p times the
+    integral of Pibar(u) e**u k~(x_p e**u) over u > 0, which
     :func:`_sums_above_midpoints` gives at every cell from one half-cell
     table; the kill part is q times the survival at x_p.
 
@@ -444,8 +516,8 @@ def _cell_residuals(spec: SubordinatorSpec, density: StepDensity) -> np.ndarray:
     rhs = spec.kill * density.survival(x_p)
     if not isinstance(spec.tail, ZeroTail):
         tail = spec.tail.tail_many
-        rhs = rhs + x_p * _sums_above_midpoints(
-            lambda u: tail(u) * np.exp(u), density, spec.tail.kernel_singularity()
+        rhs = rhs + _sums_above_midpoints(
+            lambda u: tail(u) * np.exp(u), density, spec.tail.kernel_singularity(), True
         )
     return np.abs(lhs - rhs)[: residual_cell_count(grid)]
 

@@ -101,6 +101,12 @@ class LevyTail:
         decay is faster than every exponential."""
         raise NotImplementedError
 
+    def has_power_factor(self) -> bool:
+        """Whether Pibar(z) exp(alpha z), alpha the decay index, carries a
+        power of z as z -> inf; then a ratio law at x -> 0 approaches its
+        limit like 1/log(1/x), not like a power of x."""
+        return False
+
     def laplace_closed(self, lam: float) -> Optional[float]:
         """Closed form of lam * integral exp(-lam*u) Pibar(u) du, when known."""
         return None
@@ -300,6 +306,9 @@ class StableTail(LevyTail):
 
     def decay_index(self):
         return 0.0
+
+    def has_power_factor(self):
+        return True
 
     def laplace_closed(self, lam):
         if lam < 0:
@@ -589,6 +598,10 @@ class StretchedExpTail(LevyTail):
     def decay_index(self):
         return 1.0 if self.n == 1 else math.inf
 
+    def has_power_factor(self):
+        # Gamma(1 - b, z) ~ z**(-b) e**(-z)
+        return self.n == 1
+
     def small_jump_mean(self, eps):
         # integral of x**(1-b) exp(-x**n) over (0, eps]
         lo = math.gamma((2.0 - self.b) / self.n) / self.n
@@ -724,6 +737,9 @@ class TiltedTail(LevyTail):
         if self.kill_base > 0:
             return self.rho
         return self.base.decay_index() + self.rho
+
+    def has_power_factor(self):
+        return self.base.has_power_factor()
 
     def laplace_closed(self, lam):
         shifted = lam + self.rho

@@ -124,16 +124,24 @@ def _tail_at_lowest(spec: SubordinatorSpec, density: StepDensity):
     return mids, sel, tail
 
 
+def _extrapolation_variable(spec: SubordinatorSpec, xs: np.ndarray) -> np.ndarray:
+    """The variable in which a ratio law at x -> 0 approaches its limit
+    linearly: 1/log(1/x) where Pibar(z) e**(alpha z) carries a power of z
+    (``LevyTail.has_power_factor``), x otherwise."""
+    return 1.0 / np.log(1.0 / xs) if spec.tail.has_power_factor() else xs
+
+
 def small_x_ratio_check(
     spec: SubordinatorSpec, density: StepDensity, threshold: float = 0.01
 ) -> ValidationReport:
     """k(x) / Pibar(log(1/x)) -> E[I^(-alpha)] as x -> 0 for q = 0 models
     whose tail has decay index alpha.
 
-    For alpha > 0 the ratio approaches its limit at a power rate and the
-    extrapolation runs in x; for alpha = 0 (slowly varying tails) the
-    corrections decay like 1/log(1/x), so the extrapolation variable is
-    1/log(1/x) instead.
+    Where Pibar(z) e**(alpha z) tends to a constant, the ratio approaches
+    its limit at a power rate and the extrapolation runs in x.  Where it
+    carries a power of z (``StableTail``, and ``StretchedExpTail`` with
+    n = 1), the corrections decay like 1/log(1/x), so the extrapolation
+    variable is 1/log(1/x) instead.
     """
     if spec.kill != 0:
         raise DomainError("the small-x ratio law applies to q = 0 models")
@@ -149,9 +157,9 @@ def small_x_ratio_check(
         if nm.provenance == "recursion"
         else "moment recursion seeded by the density integral"
     )
-    variable = xs if alpha > 0 else 1.0 / np.log(1.0 / xs)
     return _ratio_report(
-        "small-x density ratio", variable, ratios, nm.value, threshold, source,
+        "small-x density ratio", _extrapolation_variable(spec, xs), ratios, nm.value,
+        threshold, source,
         {"alpha": alpha, "probe_x": xs.tolist()},
     )
 
@@ -177,7 +185,9 @@ def dual_large_x_check(
     spec: SubordinatorSpec, density: StepDensity, threshold: float = 0.02
 ) -> ValidationReport:
     """x k_dual(x) / Pibar(log x) -> qstar E[I^(-alpha)] as x -> inf for the
-    spectrally negative dual of a q = 0 model with finite mean jump."""
+    spectrally negative dual of a q = 0 model with finite mean jump,
+    extrapolated in the variable of :func:`small_x_ratio_check` at the
+    reciprocal abscissae 1/x, which tend to 0."""
     _, qstar = dual_sn(spec)
     alpha, _ = class_index(spec.tail)
     if not np.isfinite(alpha):
@@ -193,9 +203,9 @@ def dual_large_x_check(
         if nm.provenance == "recursion"
         else "dual exponent and density-seeded moment recursion"
     )
-    # extrapolate in the reciprocal variable, which tends to 0
     return _ratio_report(
-        "dual density tail ratio", mids[sel], ratios, target, threshold, source,
+        "dual density tail ratio", _extrapolation_variable(spec, mids[sel]), ratios, target,
+        threshold, source,
         {"alpha": alpha, "qstar": qstar},
     )
 

@@ -3,9 +3,10 @@ prints one pass/fail line (run with ``pytest tests/test_acceptance.py -s``
 to see them live).
 
 Criteria that pin grid parameters use them verbatim.  The moment-fidelity
-criteria leave the grid free; they run at a smaller log step because the
-left-edge collocation scheme is first order with moment bias close to
-n(n+1)L/4, so the coarser default step L = 2e-3 cannot reach 0.5% at n = 5.
+criteria leave the grid free; they run at a smaller log step, chosen when
+the scheme was first order with moment bias close to n(n+1)L/4, which kept
+the default step L = 2e-3 from 0.5% at n = 5.  The product-integration
+scheme is second order and reads about 1e-5 at the default step.
 """
 
 import math

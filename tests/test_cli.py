@@ -25,6 +25,7 @@ GAMMA_SPEC = {
     "tail": {"variant": "gamma_exp", "a": 1.0, "s": 1.5, "beta": 2.0},
 }
 UNIFORM_SPEC = {"drift": 1.0, "kill": 1.0, "tail": {"variant": "zero"}}
+RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
 
 def read_csv(path):
@@ -116,6 +117,24 @@ def test_validate_command(tmp_path, capsys):
     assert (out / "validation.csv").exists()
     assert (out / "ratio.csv").exists()
     ET.parse(out / "ratio.svg")
+
+
+def test_validate_stretched_exp_n1(tmp_path, capsys):
+    # its small-x ratio converges like 1/log(1/x), which the check now
+    # extrapolates in; in x it read +2.15% against the 2% threshold
+    rc = main(["validate", "--spec", str(RECIPES / "stretched_exp_n1.json"),
+               "--out", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().out
+
+
+def test_solve_on_a_grid_reaching_below_1e_162(tmp_path):
+    # x_0 = 2.4e-166: there sqrt(x_n x_(n+1)) underflowed to 0 and the gap
+    # fit took log(0), and the residual's correlation rounded to 4e66
+    rc = main(["solve", "--spec", str(RECIPES / "powered_gamma_a1.json"), "--delta", "0.98",
+               "--cells", "19000", "--out", str(tmp_path)])
+    assert rc == 0
+    summary = (tmp_path / "summary.txt").read_text()
+    assert float(re.search(r"equation residual \(\d+ cells\): (\S+)", summary)[1]) < 1e-4
 
 
 def test_validate_failure_exits_4(tmp_path, capsys):

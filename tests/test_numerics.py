@@ -10,6 +10,7 @@ from expfun.errors import DomainError, IllConditioned, NoConvergence
 from expfun.model import load_spec
 from expfun.numerics import (
     _PANEL_CELLS,
+    _PANEL_FIRST,
     _PANEL_HEAD,
     _PANEL_MATRIX,
     _PANEL_NODES,
@@ -140,9 +141,10 @@ def test_integrate_cells_calls_the_integrand_once():
 _GL16 = np.polynomial.legendre.leggauss(16)
 
 
-def gl16_cells(f, edges):
-    """The 16-point Gauss-Legendre rule on every segment, as a reference."""
-    nodes, weights = _GL16
+def gl16_cells(f, edges, weights=_GL16[1]):
+    """The 16-point Gauss-Legendre rule on every segment, as a reference;
+    other ``weights`` at its nodes give other weighted integrals."""
+    nodes = _GL16[0]
     los, his = edges[:-1], edges[1:]
     half, mid = 0.5 * (his - los), 0.5 * (his + los)
     fx = f((mid[:, None] + half[:, None] * nodes).ravel()).reshape(los.size, nodes.size)
@@ -159,7 +161,7 @@ def test_integrate_cells_matches_gauss_legendre_on_kernel_cells(recipe):
     def f(u):
         return tail.tail_many(u) * np.exp(u)
 
-    vals, _ = integrate_cells(f, edges, 1e-9, 1e-15, p_first=tail.kernel_singularity())
+    vals, _, _ = integrate_cells(f, edges, 1e-9, 1e-15, p_first=tail.kernel_singularity())
     ref = gl16_cells(f, edges)
     # subnormal values (stretched_exp_n3 far out) carry fewer than 53 bits
     tol = 1e-13 * np.abs(ref[1:]) + np.finfo(float).tiny
@@ -169,7 +171,7 @@ def test_integrate_cells_matches_gauss_legendre_on_kernel_cells(recipe):
 def test_integrate_cells_matches_scalar():
     edges = np.geomspace(0.5, 40.0, 25)
     f = lambda x: np.exp(-x) * x**1.5
-    vals, errs = integrate_cells(f, edges)
+    vals, errs, _ = integrate_cells(f, edges)
     for k in range(edges.size - 1):
         ref = quad(f, edges[k], edges[k + 1], rel_tol=1e-12)
         assert abs(vals[k] - ref) <= max(1e-9 * abs(ref), 1e-13, 2 * errs[k])
@@ -179,7 +181,7 @@ def test_integrate_cells_estimate_has_a_rounding_floor():
     # K15 and G7 agree to the last bit on about half of these cells, yet
     # each value carries rounding; the floor covers it
     edges = np.linspace(0.0, 2.0, 41)
-    vals, errs = integrate_cells(lambda x: np.exp(-x), edges)
+    vals, errs, _ = integrate_cells(lambda x: np.exp(-x), edges)
     exact = np.exp(-edges[:-1]) * -np.expm1(-0.05)
     assert np.all(errs > 0)
     assert np.all(np.abs(vals - exact) <= errs)
@@ -188,9 +190,12 @@ def test_integrate_cells_estimate_has_a_rounding_floor():
 def test_integrate_cells_singular_first_segment():
     edges = np.array([0.0, 0.002, 0.004, 0.008])
     f = lambda x: np.where(x > 0, x, 1.0) ** -0.25 * np.exp(x)
-    vals, _ = integrate_cells(f, edges, p_first=-0.25)
+    vals, _, moments = integrate_cells(f, edges, p_first=-0.25)
     ref0 = quad(f, 0.0, 0.002, singularity_p=-0.25, rel_tol=1e-12)
     assert abs(vals[0] - ref0) <= 1e-9 * ref0
+    # the first moment of the singular segment takes one more adaptive call
+    ref1 = quad(lambda x: f(x) * x / 0.002, 0.0, 0.002, singularity_p=-0.25, rel_tol=1e-12)
+    assert abs(moments[0] - ref1) <= 1e-9 * ref1
 
 
 @pytest.mark.parametrize("k", range(_PANEL_NODES))
@@ -207,13 +212,52 @@ def test_panel_rule_is_exact_on_monomials(k):
         assert np.all(np.abs(rule[_PANEL_CELLS:]) <= 1e-14)
 
 
+@pytest.mark.parametrize("k", range(_PANEL_NODES))
+def test_panel_first_moments_are_exact_on_monomials(k):
+    # the integral of t**k (t - a)/(b - a) over each part [a, b]
+    ends = np.linspace(-1.0, 1.0, _PANEL_CELLS + 1)
+    a, b = ends[:-1], ends[1:]
+    exact = (
+        (b ** (k + 2) - a ** (k + 2)) / (k + 2) - a * (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+    ) / (b - a)
+    assert np.all(np.abs(_PANEL_FIRST @ _PANEL_T**k - exact) <= 1e-14)
+
+
+@pytest.mark.parametrize("recipe", ["lamperti_killed", "stable_with_drift", "stretched_exp_n3"])
+def test_first_moments_match_gauss_legendre_on_kernel_cells(recipe):
+    # the first moments of the kernel cells on the default grid, from K15
+    # and from the panels, against the 16-point rule with the weight
+    # (1 + t)/2 at its nodes t; each path's moments carry about the error
+    # its values do, which the panels' estimate bounds where f underflows
+    # (stretched_exp_n3).  The singular first cell is excluded
+    tail = load_spec(RECIPES / f"{recipe}.json").tail
+    step = -math.log(0.998)
+    edges = step * np.arange(4501)
+
+    def f(u):
+        return tail.tail_many(u) * np.exp(u)
+
+    nodes, weights = _GL16
+    ref = gl16_cells(f, edges, weights * 0.5 * (1.0 + nodes))[1:]
+    p = tail.kernel_singularity()
+    for _, errs, moments in (
+        integrate_cells(f, edges, 1e-9, 1e-15, p_first=p),
+        integrate_uniform_cells(f, step, 4500, 1e-9, 1e-15, p_first=p),
+    ):
+        assert np.all(np.abs(moments[1:] - ref) <= 1e-13 * np.abs(ref) + errs[1:])
+
+
 def test_uniform_cells_match_closed_form():
     # 4500 cells: the head, 138 panels and 20 cells past the last panel
     step, n = 0.002, 4500
-    vals, errs = integrate_uniform_cells(lambda u: np.exp(-u / 3.0), step, n, 1e-9, 1e-15)
+    vals, errs, moments = integrate_uniform_cells(lambda u: np.exp(-u / 3.0), step, n, 1e-9, 1e-15)
     m = np.arange(n)
     exact = 3.0 * np.exp(-m * step / 3.0) * -np.expm1(-step / 3.0)
     assert np.all(np.abs(vals - exact) <= 1e-9 * exact)
+    # integral of e**(-u/3) (u - m step)/step over cell m
+    r = step / 3.0
+    first = 3.0 * np.exp(-m * r) * (-np.expm1(-r) - r * np.exp(-r)) / r
+    assert np.all(np.abs(moments - first) <= 1e-9 * first)
     panels = slice(_PANEL_HEAD, n - (n - _PANEL_HEAD) % _PANEL_CELLS)
     assert np.all(np.abs(vals - exact)[panels] <= errs[panels])
 
@@ -221,10 +265,10 @@ def test_uniform_cells_match_closed_form():
 def test_uniform_cells_short_of_a_panel_are_one_integrate_cells_call():
     n = _PANEL_HEAD + _PANEL_CELLS - 1
     f = lambda u: np.where(u > 0, u, 1.0) ** -0.25 * np.exp(u)
-    vals, errs = integrate_uniform_cells(f, 0.002, n, 1e-9, 1e-15, p_first=-0.25)
-    ref_vals, ref_errs = integrate_cells(f, 0.002 * np.arange(n + 1), 1e-9, 1e-15, p_first=-0.25)
-    assert np.array_equal(vals, ref_vals)
-    assert np.array_equal(errs, ref_errs)
+    got = integrate_uniform_cells(f, 0.002, n, 1e-9, 1e-15, p_first=-0.25)
+    ref = integrate_cells(f, 0.002 * np.arange(n + 1), 1e-9, 1e-15, p_first=-0.25)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
 
 
 def test_uniform_cells_reject_a_non_finite_integrand():
@@ -245,7 +289,7 @@ def test_uniform_cells_send_back_a_panel_with_a_non_finite_sample(bad):
     half = 0.5 * _PANEL_CELLS * step
     u0 = (_PANEL_HEAD + 5 * _PANEL_CELLS) * step + half * (1.0 + _PANEL_T[0])
     f = lambda u: np.where(np.abs(u - u0) < 1e-12, bad, np.exp(-u))
-    vals, _ = integrate_uniform_cells(f, step, n, 1e-9, 1e-15)
+    vals, _, _ = integrate_uniform_cells(f, step, n, 1e-9, 1e-15)
     exact = np.exp(-np.arange(n) * step) * -np.expm1(-step)
     assert np.all(np.abs(vals - exact) <= 1e-9 * exact)
 

@@ -51,6 +51,21 @@ ALL_TAILS = [
 ]
 
 
+EXPONENTIAL_TAILS = [t for t in ALL_TAILS if math.isfinite(t.decay_index())]
+
+
+@pytest.mark.parametrize(
+    "tail", EXPONENTIAL_TAILS + [TiltedTail(StableTail(0.5), 1.0, 0.0)], ids=tail_id
+)
+def test_power_factor_matches_the_tail(tail):
+    # Pibar(z) e**(alpha z) from z = 20 to z = 40 moves by a power of 2
+    # where it carries a power of z, and is constant to 1e-6 elsewhere
+    z = np.array([20.0, 40.0])
+    r = tail.tail_many(z) * np.exp(tail.decay_index() * z)
+    moved = abs(r[1] / r[0] - 1.0)
+    assert moved > 0.1 if tail.has_power_factor() else moved < 1e-6
+
+
 def test_stable_tail_value():
     assert StableTail(0.25).tail_one(1.0) == pytest.approx(4.0, rel=1e-14)
 

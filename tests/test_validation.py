@@ -1,12 +1,14 @@
+import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from expfun import solver as solver_module
 from expfun.errors import DomainError, InsufficientGrid
-from expfun.model import SubordinatorSpec
+from expfun.model import SubordinatorSpec, load_spec
 from expfun.numerics import integrate_cells
 from expfun.reference import (
     killed_drift_law,
@@ -214,7 +216,7 @@ def per_probe_renewal(density, renewal_density, cells, uq_singularity=None):
     for k in cells:
         y = math.sqrt(nodes[k] * nodes[k + 1])
         edges = np.concatenate([[y], nodes[k + 1 :]])
-        vals, _ = integrate_cells(
+        vals, _, _ = integrate_cells(
             lambda t: renewal_density(np.log(t / y)) / t, edges, 1e-8, 1e-14,
             p_first=uq_singularity,
         )
@@ -258,12 +260,11 @@ def test_renewal_matches_per_probe_reference(monkeypatch, spec, delta, renewal_d
 
 
 def test_moment_agreement(gamma_density):
-    # the scheme's first-order moment bias is n(n+1)L/4; at L = 3e-3 the
-    # n = 3 bias is ~9e-3, so the unit-grid threshold is 2e-2 (the
-    # acceptance suite enforces 5e-3 on a finer grid)
-    rep = moment_agreement_check(GAMMA, gamma_density, n_max=3, threshold=2e-2)
+    # at L = 3e-3 the moments for n <= 3 are off by 1.5e-6: inside 1e-5,
+    # outside 5e-7
+    rep = moment_agreement_check(GAMMA, gamma_density, n_max=3, threshold=1e-5)
     assert rep.passed, rep.summary()
-    rep = moment_agreement_check(GAMMA, gamma_density, n_max=3, threshold=1e-4)
+    rep = moment_agreement_check(GAMMA, gamma_density, n_max=3, threshold=5e-7)
     assert not rep.passed
 
 
@@ -276,3 +277,20 @@ def test_report_csv_and_summary(tmp_path, uniform_density):
     assert len(lines) == rep.probes.size + 1
     assert "PASS" in rep.summary()
     assert "oracle" in rep.summary()
+
+
+@pytest.mark.parametrize(
+    "recipe, factor", [("stretched_exp_n1", 1.15), ("powered_gamma_a1", 1.03)]
+)
+def test_ratio_checks_catch_a_scaled_lowest_decade(recipe, factor):
+    # both x -> 0 ratio laws pass on the default grid and fail once the
+    # heights of the lowest decade are scaled.  stretched_exp_n1's ratio
+    # converges like 1/log(1/x), the variable both checks extrapolate in
+    # there, which leaves them an uncertainty near 3%
+    spec = load_spec(Path(__file__).resolve().parent.parent / "recipes" / f"{recipe}.json")
+    density = solve(spec, build_grid(spec, 0.998, 4500))
+    lowest = density.grid.midpoints <= 10.0 * density.grid.x0
+    scaled = dataclasses.replace(density, heights=np.where(lowest, factor, 1.0) * density.heights)
+    for check in (small_x_ratio_check, dual_large_x_check):
+        assert check(spec, density, threshold=0.02).passed
+        assert not check(spec, scaled, threshold=0.02).passed
