@@ -27,8 +27,9 @@ the default grid at k times the cells over the same span
 
 prints one JSON line: solves and failures by family, the error type of
 each failure and of each residual that is not finite, the residual of
-each solved spec, and each check's outcome ("pass", "fail" or the error
-type), all keyed by the spec's index in the draw, with the outcomes
+each solved spec, each check's outcome ("pass", "fail" or the error
+type) and the moment check's maximum relative error (None where the
+check raised), all keyed by the spec's index in the draw, with the outcomes
 counted per check and every error that is not an ``ExpfunError`` listed
 under ``untyped``.  Two runs on two versions of the code compare
 residuals spec by spec.
@@ -80,27 +81,15 @@ def draw_specs(n=N_SPECS):
     return out
 
 
-def limit_check(spec, density):
-    """The limit law ``expfun validate`` checks, or None when it has none."""
-    if spec.kill > 0:
-        return ef.q_positive_limit_check(spec, density)
-    alpha, _ = ef.class_index(spec.tail)
-    if np.isfinite(alpha):
-        return ef.small_x_ratio_check(spec, density, threshold=0.02)
-    return None
-
-
 def check_outcomes(spec, density):
     """({check: "pass", "fail" or the error's type name}, {check: type and
-    message of each error that is not an ExpfunError}) over the checks of
-    ``expfun validate`` and, for q = 0, the dual's ratio law."""
-    checks = {
-        "moments": lambda: ef.moment_agreement_check(spec, density, threshold=5e-3),
-        "limit": lambda: limit_check(spec, density),
-    }
+    message of each error that is not an ExpfunError}, the moment check's
+    maximum relative error or None) over the checks of ``expfun validate``
+    (``expfun.validate_checks``) and, for q = 0, the dual's ratio law."""
+    checks = ef.validate_checks(spec, density)
     if spec.kill == 0:
         checks["dual"] = lambda: ef.dual_large_x_check(spec, density)
-    out, untyped = {}, {}
+    out, untyped, moment_error = {}, {}, None
     for name, check in checks.items():
         try:
             report = check()
@@ -111,13 +100,15 @@ def check_outcomes(spec, density):
             continue
         if report is not None:
             out[name] = "pass" if report.passed else "fail"
-    return out, untyped
+            if name == "moments":
+                moment_error = report.statistic
+    return out, untyped, moment_error
 
 
 def run_one(spec, delta, cells):
     """(solve error or None, residual error or None, residual or None,
-    check outcomes and untyped check errors, or None), each error named by
-    its type; an untyped exception is a finding, so every one is caught."""
+    :func:`check_outcomes` or None), each error named by its type; an
+    untyped exception is a finding, so every one is caught."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
@@ -141,6 +132,7 @@ def survey(specs, indices, delta, cells):
     t0 = perf_counter()
     by_family = {f: {"specs": 0, "solved": 0} for f in FAMILIES}
     failures, residual_failures, residuals, checks, untyped = {}, {}, {}, {}, {}
+    moment_errors = {}
     counts = {}
     for i in indices:
         family, spec = specs[i]
@@ -151,7 +143,7 @@ def survey(specs, indices, delta, cells):
             continue
         by_family[family]["solved"] += 1
         residuals[i] = res
-        checks[i], errors = checked
+        checks[i], errors, moment_errors[i] = checked
         if errors:
             untyped[i] = errors
         if residual_error is not None:
@@ -171,6 +163,7 @@ def survey(specs, indices, delta, cells):
         "residual_failures": residual_failures,
         "residuals": residuals,
         "checks": checks,
+        "moment_errors": moment_errors,
         "check_counts": counts,
         "untyped": untyped,
         "seconds": round(perf_counter() - t0, 2),

@@ -96,6 +96,7 @@ from .validation import (
     renewal_check,
     small_x_ratio_check,
     tilt_consistency,
+    validate_checks,
 )
 
 __version__ = "0.1.0"

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import ExpfunError, InsufficientGrid, SpecFileError
 from .mc import ks_distance, simulate
 from .model import (
-    class_index,
     dual_sn,
     load_spec,
     positive_moments,
@@ -33,12 +32,7 @@ from .model import (
 from .reference import dual_transform
 from .solver import build_grid, residual, residual_cell_count, solve
 from .svgplot import plot_lines
-from .validation import (
-    ValidationReport,
-    moment_agreement_check,
-    q_positive_limit_check,
-    small_x_ratio_check,
-)
+from .validation import ValidationReport, validate_checks
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -140,10 +134,9 @@ def _density_outputs(args, spec, grid, density, res, prefix):
     ]
     _write_summary(args.out / "summary.txt", lines)
     if args.plot:
-        mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
         plot_lines(
             args.out / f"{prefix}.svg",
-            [(mids, density.heights, "solved density")],
+            [(grid.centres, density.heights, "solved density")],
             title="density of the exponential functional",
             xlabel="x",
             ylabel="k(x)",
@@ -159,20 +152,17 @@ def cmd_validate(args) -> int:
     spec = load_spec(args.spec)
     _, density = _solve_and_write(args, spec)
 
-    reports: list[ValidationReport] = []
-    reports.append(moment_agreement_check(spec, density))
-    ratio_report = None
-    try:
-        if spec.kill > 0:
-            ratio_report = q_positive_limit_check(spec, density)
-        else:
-            alpha, _ = class_index(spec.tail)
-            if np.isfinite(alpha):
-                ratio_report = small_x_ratio_check(spec, density, threshold=0.02)
-    except InsufficientGrid as exc:
-        print(f"[SKIP] limit check: {exc}")
+    reports: dict[str, ValidationReport] = {}
+    for name, check in validate_checks(spec, density).items():
+        try:
+            report = check()
+        except InsufficientGrid as exc:
+            print(f"[SKIP] {name} check: {exc}")
+            continue
+        if report is not None:
+            reports[name] = report
+    ratio_report = reports.get("limit")
     if ratio_report is not None:
-        reports.append(ratio_report)
         ratio_report.to_csv(args.out / "ratio.csv")
         if args.plot:
             plot_lines(
@@ -189,12 +179,12 @@ def cmd_validate(args) -> int:
 
     with open(args.out / "validation.csv", "w") as fh:
         fh.write("check,probe,measured,oracle\n")
-        for rep in reports:
+        for rep in reports.values():
             for p, m, o in zip(rep.probes, rep.measured, rep.oracle):
                 fh.write(f"{rep.name},{p:.12g},{m:.12g},{o:.12g}\n")
-    for rep in reports:
+    for rep in reports.values():
         print(rep.summary())
-    return 0 if all(r.passed for r in reports) else EXIT_VALIDATION
+    return 0 if all(r.passed for r in reports.values()) else EXIT_VALIDATION
 
 
 def cmd_moments(args) -> int:

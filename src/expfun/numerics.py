@@ -226,15 +226,17 @@ def integrate(req: QuadratureRequest) -> tuple[float, float]:
     f, lo, hi = req.integrand, req.lo, req.hi
     rel, atol = req.rel_tol, req.abs_tol
 
+    def head(b):
+        # the integral over [lo, b], through the substitution when singular
+        if req.singularity_p is None:
+            return _adaptive_finite(f, lo, b, rel, atol)
+        g, to_u = _desingularized(f, lo, req.singularity_p)
+        return _adaptive_finite(g, 0.0, to_u(b), rel, atol)
+
     if np.isinf(hi):
         # Treat a singular head separately, then double the tail.
-        head_hi = lo + 1.0
-        if req.singularity_p is not None:
-            g, to_u = _desingularized(f, lo, req.singularity_p)
-            val, err = _adaptive_finite(g, 0.0, to_u(head_hi), rel, atol)
-        else:
-            val, err = _adaptive_finite(f, lo, head_hi, rel, atol)
-        a = head_hi
+        a = lo + 1.0
+        val, err = head(a)
         width = max(abs(lo), 1.0)
         small_blocks = 0
         for _ in range(_MAX_DOUBLINGS):
@@ -255,11 +257,7 @@ def integrate(req: QuadratureRequest) -> tuple[float, float]:
             f"tail of integral on [{lo:g}, inf) did not die out after "
             f"{_MAX_DOUBLINGS} doublings"
         )
-
-    if req.singularity_p is not None:
-        g, to_u = _desingularized(f, lo, req.singularity_p)
-        return _adaptive_finite(g, 0.0, to_u(hi), rel, atol)
-    return _adaptive_finite(f, lo, hi, rel, atol)
+    return head(hi)
 
 
 def quad(f, lo, hi, rel_tol=1e-9, abs_tol=1e-12, singularity_p=None):

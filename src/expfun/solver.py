@@ -28,9 +28,10 @@ mean of k over it, so every reader of the density sees a step function.
 Two departures from the naive discretisation matter in practice and are
 documented on the fields they feed:
 
-* the mass below the first node x_0 > 0 is estimated by extrapolating the
-  lowest cells with a power law and enters the normalization, the moments
-  and the distribution function (``left_gap_mass_bound``);
+* the mass below the first node x_0 > 0 is estimated by power terms
+  fitted to the lowest cells (:class:`GapModel`) and enters the
+  normalization, the moments and the distribution function, which reads
+  ``survival`` above x_0 (``left_gap_mass_bound``);
 * when the drift makes the support end at 1/c, the diagonal
   1 - c x_n - x_n (W_0 - V_0) - q x_n (E0 - E1) can turn negative over a
   thin boundary layer of top nodes where the true density is vanishingly
@@ -79,10 +80,16 @@ class GeometricGrid:
             raise DomainError("delta must lie in (0, 1)")
         if self.n_cells < 10:
             raise DomainError("need at least 10 cells")
-        if self.x_max <= 0:
-            raise DomainError("x_max must be positive")
-        if self.x_max * self.delta**self.n_cells <= 0.0:
+        if not 0.0 < self.x_max < math.inf:
+            raise DomainError("x_max must be positive and finite")
+        # below the normal doubles delta**n and the nodes stop being geometric
+        if min(self.delta**self.n_cells, self.x0) < np.finfo(float).tiny:
             raise DomainError("grid underflows at the left end; reduce n_cells")
+        # nodes and logs carry a few ulps of rounding: for them to increase
+        # strictly, L must exceed a few ulps of the largest |log x| as well
+        depth = max(abs(math.log(self.x_max)), abs(math.log(self.x0)))
+        if self.log_step <= 8.0 * np.finfo(float).eps * (1.0 + depth):
+            raise DomainError("delta is too close to 1 for the nodes to be resolved")
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -99,6 +106,11 @@ class GeometricGrid:
         n = 0..n_cells-1; the product x_n x_{n+1} underflows to 0 below
         x_n ~ 1e-162."""
         return self.nodes[:-1] / math.sqrt(self.delta)
+
+    @cached_property
+    def centres(self) -> np.ndarray:
+        """Cell centres (x_n + x_{n+1})/2, where the tables and plots put k."""
+        return 0.5 * (self.nodes[:-1] + self.nodes[1:])
 
     @property
     def log_step(self) -> float:
@@ -122,43 +134,28 @@ class KernelWeights:
 
 @dataclass(frozen=True)
 class GapModel:
-    """Density model on the uncovered interval (0, x_0).
+    """Density model on the uncovered interval (0, x_0): the sum of the
+    power terms c * x**kappa, one (c, kappa) pair each in ``terms``.
 
-    kind "power" is c0 * x**c1 (the q = 0 case, where the density follows
-    the kernel tail); kind "affine" is c0 + c1 * x with c0 pinned to the
-    kill rate, the exact x -> 0 limit of the density when q > 0.
+    For q = 0 the one term is the power law fitted to the lowest cells (the
+    density follows the kernel tail); for q > 0 the terms are (q, 0) and
+    (b, 1), the exact x -> 0 limit q of the density plus a fitted slope.
     """
 
-    kind: str
-    c0: float
-    c1: float
+    terms: tuple[tuple[float, float], ...]
 
-    def mass(self, x0: float) -> float:
-        if self.kind == "power":
-            return self.c0 * x0 ** (self.c1 + 1.0) / (self.c1 + 1.0)
-        return self.c0 * x0 + 0.5 * self.c1 * x0 * x0
-
-    def cdf(self, x: np.ndarray, x0: float) -> np.ndarray:
-        x = np.clip(x, 0.0, x0)
-        if self.kind == "power":
-            return self.c0 * x ** (self.c1 + 1.0) / (self.c1 + 1.0)
-        return self.c0 * x + 0.5 * self.c1 * x * x
-
-    def partial_moment(self, r: float, x0: float) -> float:
-        """Integral of x**r times the model over (0, x0)."""
-        if self.kind == "power":
-            e = self.c1 + r + 1.0
+    def integral(self, r: float, x):
+        """Integral of t**r times the model over (0, x), elementwise in x."""
+        out = 0.0
+        for c, kappa in self.terms:
+            e = kappa + r + 1.0
             if e <= 1e-9:
                 raise DomainError(
-                    f"moment of order {r} diverges against the x**{self.c1:.3g} "
-                    "left-gap model"
+                    f"moment of order {r} diverges against the {c:.3g} x**{kappa:.3g} "
+                    "term of the left-gap model"
                 )
-            return self.c0 * x0**e / e
-        if r <= -1.0:
-            raise DomainError(
-                f"moment of order {r} diverges: the density tends to {self.c0:.3g} at 0"
-            )
-        return self.c0 * x0 ** (r + 1.0) / (r + 1.0) + self.c1 * x0 ** (r + 2.0) / (r + 2.0)
+            out = out + c * x**e / e
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,49 +185,45 @@ class StepDensity:
         cell = self.heights * self.grid.widths
         return np.concatenate([np.cumsum(cell[::-1])[::-1], [0.0]])
 
-    @cached_property
-    def _node_cdf(self) -> np.ndarray:
-        return 1.0 - self._suffix_mass
-
     def _cell_of(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(np.searchsorted(self.grid.nodes, x, side="right") - 1, 0, None)
+        """The cell of each x, clipped to 0..n_cells-1."""
+        n = np.searchsorted(self.grid.nodes, x, side="right") - 1
+        return np.clip(n, 0, self.grid.n_cells - 1)
+
+    def _check_support(self, x: np.ndarray) -> None:
+        outside = (x <= 0) | (x > self.grid.x_max * (1 + 1e-12))
+        if np.any(outside):
+            raise DomainError(f"x = {x[outside][0]} outside the support (0, {self.grid.x_max}]")
 
     def evaluate(self, x: float) -> float:
         """Step-function value at x; 0 below x_0, error outside (0, x_max]."""
-        if x <= 0 or x > self.grid.x_max * (1 + 1e-12):
-            raise DomainError(f"x = {x} outside the support (0, {self.grid.x_max}]")
-        if x < self.grid.x0:
-            return 0.0
-        n = min(int(self._cell_of(np.array([x]))[0]), self.grid.n_cells - 1)
-        return float(self.heights[n])
+        self._check_support(np.asarray(x, dtype=float))
+        return float(self.evaluate_many(min(x, self.grid.x_max)))
 
     def evaluate_many(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        n = np.minimum(self._cell_of(x), self.grid.n_cells - 1)
-        vals = self.heights[n]
+        vals = self.heights[self._cell_of(x)]
         return np.where((x < self.grid.x0) | (x > self.grid.x_max), 0.0, vals)
 
     def survival(self, x):
         """Integral of the step function over (x, x_max], elementwise."""
         x = np.asarray(x, dtype=float)
-        outside = (x <= 0) | (x > self.grid.x_max * (1 + 1e-12))
-        if np.any(outside):
-            raise DomainError(f"x = {x[outside][0]} outside the support (0, {self.grid.x_max}]")
-        n = np.minimum(self._cell_of(x), self.grid.n_cells - 1)
+        self._check_support(x)
+        n = self._cell_of(x)
         out = self.heights[n] * (self.grid.nodes[n + 1] - x) + self._suffix_mass[n + 1]
         out = np.where(x <= self.grid.x0, self.covered_mass, out)
         return np.where(x >= self.grid.x_max, 0.0, out)[()]
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        """P(I <= x) including the gap model below x_0."""
+        """P(I <= x): the gap model's mass below x_0, 1 - ``survival`` on
+        [x_0, x_max) and 1 above."""
         x = np.asarray(x, dtype=float)
-        out = np.interp(x, self.grid.nodes, self._node_cdf)
-        below = x < self.grid.x0
+        x0 = self.grid.x0
+        covered = 1.0 - self.survival(np.clip(x, x0, self.grid.x_max))
+        gap = 0.0
         if self.left_gap_mass_bound > 0:
-            out = np.where(below, self.gap.cdf(x, self.grid.x0), out)
-        else:
-            out = np.where(below, 0.0, out)
-        return np.where(x <= 0, 0.0, np.where(x >= self.grid.x_max, 1.0, out))
+            gap = self.gap.integral(0.0, np.clip(x, 0.0, x0))
+        return np.where(x < x0, np.where(x > 0, gap, 0.0), covered)
 
     def moment_of(self, r: float) -> float:
         """Integral of x**r against the density, cell-exact plus gap term."""
@@ -241,16 +234,15 @@ class StepDensity:
         else:
             cells = float(np.dot(self.heights, (hi ** (r + 1) - lo ** (r + 1)) / (r + 1)))
         if self.left_gap_mass_bound > 0:
-            return cells + self.gap.partial_moment(r, self.grid.x0)
+            return cells + self.gap.integral(r, self.grid.x0)
         return cells
 
     def to_csv(self, path) -> None:
         """Write ``x,k`` rows, one per cell at the arithmetic midpoint,
         12 significant digits."""
-        mids = 0.5 * (self.grid.nodes[:-1] + self.grid.nodes[1:])
         with open(path, "w") as fh:
             fh.write("x,k\n")
-            for x, k in zip(mids, self.heights):
+            for x, k in zip(self.grid.centres, self.heights):
                 fh.write(f"{x:.12g},{k:.12g}\n")
 
 
@@ -442,17 +434,17 @@ def solve(
         scale = (1.0 - spec.kill * x0) / (covered_raw + 0.5 * b_raw * x0 * x0)
         if scale <= 0:
             raise DomainError("grid too coarse for a consistent left-gap model")
-        gap = GapModel("affine", spec.kill, b_raw * scale)
+        gap = GapModel(((spec.kill, 0.0), (b_raw * scale, 1.0)))
     else:
         coef, kappa, gap_raw = _fit_power_gap(grid, raw)
         scale = 1.0 / (covered_raw + gap_raw)
-        gap = GapModel("power", coef * scale, kappa)
+        gap = GapModel(((coef * scale, kappa),))
     heights = raw * scale
     return StepDensity(
         grid=grid,
         heights=heights,
         covered_mass=float(np.dot(heights, w)),
-        left_gap_mass_bound=gap.mass(x0),
+        left_gap_mass_bound=gap.integral(0.0, x0),
         gap=gap,
         top_zero_cells=n - 1 - start,
     )

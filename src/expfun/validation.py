@@ -5,6 +5,7 @@ with oracle values produced outside the solver (closed forms, moment
 recursions, exact limit laws).  Ratio-style checks extrapolate to the
 relevant boundary with :func:`expfun.numerics.extrapolate_limit` and
 pass only when |limit - oracle| <= threshold * |oracle| + uncertainty.
+:func:`validate_checks` holds the checks ``expfun validate`` runs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .model import (
 )
 from .numerics import extrapolate_limit
 from .reference import ReferenceLaw, dual_transform
-from .solver import StepDensity, _sums_above_midpoints, build_grid, solve
+from .solver import StepDensity, _sums_above_midpoints, build_grid, residual_cell_count, solve
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,24 @@ def _ratio_report(name, probes, measured, oracle_value, threshold, source, extra
         uncertainty=unc,
         oracle_source=source,
         details=extra or {},
+    )
+
+
+def _distance_report(name, norm, probes, measured, oracle, statistic, threshold, source):
+    """A check that passes when ``statistic``, a distance, is at most
+    ``threshold``."""
+    return ValidationReport(
+        name=name,
+        norm=norm,
+        probes=probes,
+        measured=measured,
+        oracle=oracle,
+        statistic=statistic,
+        oracle_value=0.0,
+        threshold=threshold,
+        threshold_kind="absolute",
+        passed=bool(statistic <= threshold),
+        oracle_source=source,
     )
 
 
@@ -223,9 +242,8 @@ def compare_to_reference(
     if law.density is None:
         raise DomainError(f"law {law.name} has no closed-form density")
     grid = density.grid
-    mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
-    keep = slice(0, int(0.99 * grid.n_cells)) if spec.drift > 0 else slice(None)
-    xs = mids[keep]
+    keep = slice(0, residual_cell_count(grid)) if spec.drift > 0 else slice(None)
+    xs = grid.centres[keep]
     measured = density.heights[keep]
     oracle = law.density(xs)
     diff = np.abs(measured - oracle)
@@ -235,18 +253,8 @@ def compare_to_reference(
         stat = float(np.dot(diff, grid.widths[keep]))
     else:
         raise DomainError(f"unknown norm {norm!r}")
-    return ValidationReport(
-        name=f"distance to {law.name}",
-        norm=norm,
-        probes=xs,
-        measured=measured,
-        oracle=oracle,
-        statistic=stat,
-        oracle_value=0.0,
-        threshold=threshold,
-        threshold_kind="absolute",
-        passed=bool(stat <= threshold),
-        oracle_source="closed-form law",
+    return _distance_report(
+        f"distance to {law.name}", norm, xs, measured, oracle, stat, threshold, "closed-form law"
     )
 
 
@@ -275,23 +283,12 @@ def tilt_consistency(
     # left-gap convention
     reweighted = mids**rho * base.heights / base.moment_of(rho)
     direct = tilted.evaluate_many(np.minimum(mids, tilted_grid.x_max))
-    keep = (
-        slice(0, int(0.99 * base_grid.n_cells)) if spec.drift > 0 else slice(None)
-    )
+    keep = slice(0, residual_cell_count(base_grid)) if spec.drift > 0 else slice(None)
     diff = np.abs(reweighted - direct)[keep]
     stat = float(np.dot(diff, base_grid.widths[keep]))
-    return ValidationReport(
-        name=f"tilt consistency (rho = {rho:g})",
-        norm="l1",
-        probes=mids[keep],
-        measured=reweighted[keep],
-        oracle=direct[keep],
-        statistic=stat,
-        oracle_value=0.0,
-        threshold=threshold,
-        threshold_kind="absolute",
-        passed=bool(stat <= threshold),
-        oracle_source="independent solve of the tilted model",
+    return _distance_report(
+        f"tilt consistency (rho = {rho:g})", "l1", mids[keep], reweighted[keep], direct[keep],
+        stat, threshold, "independent solve of the tilted model",
     )
 
 
@@ -323,18 +320,9 @@ def renewal_check(
     measured = _sums_above_midpoints(renewal_density, density, uq_singularity)[sel]
     oracle = density.survival(mids[sel])
     stat = float(np.max(np.abs(measured - oracle)))
-    return ValidationReport(
-        name="renewal-measure consistency",
-        norm="sup",
-        probes=mids[sel],
-        measured=measured,
-        oracle=oracle,
-        statistic=stat,
-        oracle_value=0.0,
-        threshold=threshold,
-        threshold_kind="absolute",
-        passed=bool(stat <= threshold),
-        oracle_source="explicit renewal density",
+    return _distance_report(
+        "renewal-measure consistency", "sup", mids[sel], measured, oracle, stat, threshold,
+        "explicit renewal density",
     )
 
 
@@ -349,18 +337,28 @@ def moment_agreement_check(
     orders = np.arange(1, n_max + 1, dtype=float)
     measured = np.array([density.moment_of(n) for n in orders])
     oracle = np.array([ms.value(int(n)) for n in orders])
-    rel = np.abs(measured / oracle - 1.0)
-    stat = float(np.max(rel))
-    return ValidationReport(
-        name=f"moment agreement (n <= {n_max})",
-        norm="max-relative-error",
-        probes=orders,
-        measured=measured,
-        oracle=oracle,
-        statistic=stat,
-        oracle_value=0.0,
-        threshold=threshold,
-        threshold_kind="absolute",
-        passed=bool(stat <= threshold),
-        oracle_source="moment recursion",
+    stat = float(np.max(np.abs(measured / oracle - 1.0)))
+    return _distance_report(
+        f"moment agreement (n <= {n_max})", "max-relative-error", orders, measured, oracle,
+        stat, threshold, "moment recursion",
     )
+
+
+def validate_checks(
+    spec: SubordinatorSpec, density: StepDensity
+) -> dict[str, Callable[[], Optional[ValidationReport]]]:
+    """The checks ``expfun validate`` runs, by name, each deferred so that
+    the caller decides what a typed error means: "moments" at 5e-3, and
+    "limit", the x -> 0 law at 2% (k(0+) = q when q > 0, else the small-x
+    ratio law for a finite decay index, else None)."""
+
+    def limit():
+        if spec.kill > 0:
+            return q_positive_limit_check(spec, density, threshold=0.02)
+        finite = np.isfinite(class_index(spec.tail)[0])
+        return small_x_ratio_check(spec, density, threshold=0.02) if finite else None
+
+    return {
+        "moments": lambda: moment_agreement_check(spec, density, threshold=5e-3),
+        "limit": limit,
+    }

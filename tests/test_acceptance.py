@@ -92,8 +92,7 @@ def ex3_acc():
 
 
 def _midpoints(density):
-    g = density.grid
-    return 0.5 * (g.nodes[:-1] + g.nodes[1:])
+    return density.grid.centres
 
 
 def test_criterion_01_uniform_law(uniform_acc):

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from expfun import numerics
@@ -86,6 +88,45 @@ def test_build_grid_validation():
         GeometricGrid(1.0, 1.5, 100)
     with pytest.raises(DomainError):
         GeometricGrid(1.0, 0.5, 5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    # x_max from build_grid (1/drift, or a truncation point up to 1e12) or
+    # --xmax; delta and cells anywhere the CLI accepts, cells capped for cost
+    x_max=st.floats(1e-6, 1e12),
+    delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    cells=st.integers(10, 200_000),
+)
+@example(x_max=1.0, delta=0.99, cells=40_000)  # x_0 ~ 1e-174
+@example(x_max=3.0, delta=1.0 - 2.0**-53, cells=4500)
+def test_grid_nodes_and_midpoints_increase_strictly(x_max, delta, cells):
+    try:
+        grid = GeometricGrid(x_max, delta, cells)
+    except DomainError:
+        # refused only where delta**n or x_0 leaves the normal doubles, or
+        # where the log step is within rounding of the logs
+        tiny = np.finfo(float).tiny
+        assert min(delta**cells, x_max * delta**cells) < tiny or -math.log(delta) < 1e-11
+        return
+    for xs in (grid.nodes, grid.midpoints):
+        assert np.all(xs > 0) and np.all(np.isfinite(xs))
+        assert np.all(np.diff(xs) > 0)
+        logs = np.log(xs)
+        assert np.all(np.isfinite(logs)) and np.all(np.diff(logs) > 0)
+
+
+@pytest.mark.parametrize(
+    "x_max, delta, cells",
+    [
+        (1.0, 0.5, 1100),  # x_0 = 0
+        (1.0, 0.5, 1030),  # x_0 = 2**-1030 is subnormal
+        (1e12, 0.5, 1030),  # x_0 is normal, but delta**n is not
+    ],
+)
+def test_grid_refuses_an_underflowing_left_end(x_max, delta, cells):
+    with pytest.raises(DomainError, match="underflows"):
+        GeometricGrid(x_max, delta, cells)
 
 
 # -- kernel weights ----------------------------------------------------------
@@ -447,7 +488,7 @@ def test_killed_drift_q2():
     spec = SubordinatorSpec(1.0, 2.0, ZeroTail())
     grid = build_grid(spec, 0.999, 2000)
     d = solve(spec, grid)
-    mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
+    mids = grid.centres
     keep = mids < 0.99
     exact = 2.0 * (1.0 - mids[keep])
     assert np.max(np.abs(d.heights[keep] - exact)) <= 1e-2
@@ -462,7 +503,7 @@ def test_killed_drift_q5_boundary_layer():
     grid = build_grid(spec, 0.999, 6000)
     d = solve(spec, grid)
     assert d.top_zero_cells > 0
-    mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
+    mids = grid.centres
     keep = mids < 0.99
     exact = 5.0 * (1.0 - mids[keep]) ** 4
     assert np.max(np.abs(d.heights[keep] - exact)) <= 1e-4
@@ -473,7 +514,7 @@ def test_killed_drift_q5_boundary_layer():
 
 def test_gamma_solution_matches_closed_form(gamma_density):
     d = gamma_density
-    mids = 0.5 * (d.grid.nodes[:-1] + d.grid.nodes[1:])
+    mids = d.grid.centres
     assert np.max(np.abs(d.heights - gamma_exact(mids))) <= 1e-2
     assert d.moment_of(1.0) == pytest.approx(0.75, abs=0.004)
     assert d.moment_of(0.0) == pytest.approx(1.0, abs=1e-12)
@@ -481,8 +522,8 @@ def test_gamma_solution_matches_closed_form(gamma_density):
 
 def test_gamma_left_gap_exponent(gamma_density):
     # true density grows like x**(1/2) at the origin
-    assert gamma_density.gap.kind == "power"
-    assert gamma_density.gap.c1 == pytest.approx(0.5, abs=0.05)
+    ((_, kappa),) = gamma_density.gap.terms
+    assert kappa == pytest.approx(0.5, abs=0.05)
     assert gamma_density.left_gap_mass_bound < 1e-6
 
 
@@ -728,7 +769,7 @@ def test_l1_refinement_consistency():
     def l1_error(delta, n):
         grid = build_grid(GAMMA, delta, n)
         d = solve(GAMMA, grid)
-        mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
+        mids = grid.centres
         return float(np.dot(np.abs(d.heights - gamma_exact(mids)), grid.widths))
 
     e1 = l1_error(0.99, 1000)

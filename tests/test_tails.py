@@ -177,6 +177,24 @@ def test_stretched_exp_against_quadrature():
             assert t.tail_one(z) == pytest.approx(ref, rel=1e-9)
 
 
+@pytest.mark.parametrize("b, n", [(1.05, 3), (1.25, 3), (1.5, 2)])
+def test_stretched_exp_negative_order_far_tail(b, n):
+    # b > 1 makes the gamma order (1 - b)/n negative, where the downward
+    # recurrence for Gamma(s, x) cancels at large x = z**n
+    t = StretchedExpTail(b, n)
+    z_last = math.log(1.0 / _TINY) ** (1.0 / n)
+    zs = np.concatenate([[0.05, 0.3, 0.9], np.linspace(1.0, z_last, 24)])
+    checked = 0
+    for z in zs:
+        ref = quad(t.density_many, z, np.inf, rel_tol=1e-14, abs_tol=1e-320)
+        if ref < _TINY:
+            continue
+        assert t.tail_one(z) == pytest.approx(ref, rel=1e-11, abs=0.0), z
+        checked += 1
+    # the far end, where Pibar is still a normal double, is reached
+    assert checked >= zs.size - 2
+
+
 def test_tabulated_interpolation_and_extrapolation():
     knots = tuple((z, 3.0 * math.exp(-1.3 * z)) for z in (0.2, 0.6, 1.1, 2.0, 3.5))
     t = TabulatedTail(knots)
